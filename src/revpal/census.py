@@ -34,6 +34,11 @@ MAX_PARTITION_TOTAL = 16
 
 BRUTE_FORCE_MAX_LINES = 3
 
+#: Counts up to this many bits go through ``str`` directly: ~600 digits,
+#: under the smallest digit limit CPython lets ``sys.set_int_max_str_digits``
+#: set (640).
+_STR_BITS = 2000
+
 
 def double_factorial(m: int) -> int:
     """m!! = m * (m-2) * (m-4) * ...; (-1)!! = 0!! = 1 (empty products)."""
@@ -150,6 +155,20 @@ _FORMULAS = {
 }
 
 
+def _decimal_text(count: int) -> str:
+    """The decimal digits of a non-negative count of any size.
+
+    ``str`` refuses ints beyond the interpreter's digit limit (4300 by
+    default), and (2**11)! has 5,895 digits.  Splitting by a power of ten
+    into parts ``str`` accepts leaves that interpreter-wide limit alone.
+    """
+    if count.bit_length() <= _STR_BITS:
+        return str(count)
+    k = count.bit_length() * 3 // 20  # about half the digits (log10(2) ~ 0.3)
+    high, low = divmod(count, 10**k)
+    return _decimal_text(high) + _decimal_text(low).zfill(k)
+
+
 @dataclass(frozen=True)
 class CensusReport:
     """Counts of the six function classes for a fixed line count."""
@@ -160,7 +179,7 @@ class CensusReport:
 
     def as_text(self) -> str:
         out = [f"n: {self.n}", f"method: {self.method}"]
-        out += [f"{name}: {self.rows[name]}" for name in CLASS_NAMES]
+        out += [f"{name}: {_decimal_text(self.rows[name])}" for name in CLASS_NAMES]
         return "\n".join(out) + "\n"
 
     def as_json(self) -> str:
@@ -169,7 +188,7 @@ class CensusReport:
         payload = {
             "n": self.n,
             "method": self.method,
-            "rows": {name: str(self.rows[name]) for name in CLASS_NAMES},
+            "rows": {name: _decimal_text(self.rows[name]) for name in CLASS_NAMES},
         }
         return json.dumps(payload, indent=2) + "\n"
 

@@ -130,6 +130,7 @@ def parse_circuit(text: str) -> Circuit:
     """
     lines: int | None = None
     ancilla: int | None = None
+    ancilla_at = (1, 1)
     gates: list[Gate] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0]
@@ -138,9 +139,14 @@ def parse_circuit(text: str) -> Circuit:
             continue
         col0, head = tokens[0]
         if head == ".lines":
+            if lines is not None:
+                raise CircuitParseError(lineno, col0, "duplicate .lines directive")
             lines = _directive_int(tokens, lineno, ".lines")
         elif head == ".ancilla":
+            if ancilla is not None:
+                raise CircuitParseError(lineno, col0, "duplicate .ancilla directive")
             ancilla = _directive_int(tokens, lineno, ".ancilla")
+            ancilla_at = (lineno, tokens[1][0])
         elif head in GATE_KINDS:
             if lines is None:
                 raise CircuitParseError(lineno, col0, "gate before .lines header")
@@ -151,10 +157,11 @@ def parse_circuit(text: str) -> Circuit:
             )
     if lines is None:
         raise CircuitParseError(1, 1, "missing .lines header")
-    try:
-        return Circuit(lines, gates, ancilla)
-    except ValueError as exc:
-        raise CircuitParseError(1, 1, str(exc)) from None
+    if ancilla is not None and ancilla > lines:
+        raise CircuitParseError(
+            *ancilla_at, f"ancilla line x{ancilla} out of range 1..{lines}"
+        )
+    return Circuit(lines, gates, ancilla)
 
 
 def _directive_int(tokens, lineno: int, name: str) -> int:

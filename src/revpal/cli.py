@@ -23,6 +23,7 @@ from .simulate import (
     classical_readout,
     equivalent,
     equivalent_with_ancilla,
+    simulate_all,
     simulate_classical,
     simulate_semiclassical,
 )
@@ -193,10 +194,16 @@ def _parse_bits(text: str, lines: int) -> int:
 
 def _cmd_simulate(args) -> int:
     circuit = _load_circuit(args.circuit)
+    # Rows pair an input with its output, or with None where the scalar
+    # simulator must run: for --input, and for the inputs the bit-sliced
+    # run marks as failing, whose exact error it reports.
     if args.input is not None:
-        inputs = [_parse_bits(args.input, circuit.lines)]
+        rows = [(_parse_bits(args.input, circuit.lines), None)]
     elif args.all:
-        inputs = list(range(1 << circuit.lines))
+        outputs, poisoned = simulate_all(circuit)
+        rows = [
+            (x, None if poisoned >> x & 1 else out) for x, out in enumerate(outputs)
+        ]
     else:
         raise CliError("need --input BITS or --all")
     semi = args.semiclassical or circuit.has_quantum_gates()
@@ -204,14 +211,15 @@ def _cmd_simulate(args) -> int:
     print(f"circuit: {args.circuit}")
     print(f"mode: {'semiclassical' if semi else 'classical'}")
     code = EXIT_OK
-    for x in inputs:
+    for x, out in rows:
         bits = _format_bits(x, circuit.lines)
         try:
-            if semi:
-                cells = simulate_semiclassical(circuit, x)
-                out = classical_readout(cells)
-            else:
-                out = simulate_classical(circuit, x)
+            if out is None:
+                out = (
+                    classical_readout(simulate_semiclassical(circuit, x))
+                    if semi
+                    else simulate_classical(circuit, x)
+                )
             print(f"{bits} -> {_format_bits(out, circuit.lines)}")
         except SimulationError as exc:
             print(f"{bits} -> non-classical")

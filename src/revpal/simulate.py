@@ -1,4 +1,4 @@
-"""Ground-truth circuit execution and equivalence checking.
+"""Circuit execution and equivalence checking.
 
 Two models:
 
@@ -10,12 +10,22 @@ Two models:
   control may only be read while its cell is classical (0 or 2); reading a
   half-rotated cell would entangle lines, which this model cannot express,
   so it raises instead of approximating.
+
+``simulate_classical`` and ``simulate_semiclassical`` run one input at a
+time; they are the reference oracles.  ``truth_table``, ``equivalent``,
+``equivalent_with_ancilla`` and ``simulate_all`` run every input at once,
+bit-sliced (Biham, FSE 1997): line ``x_i`` is held as one 2**n-bit integer
+whose bit ``x`` is that line's value on input ``x``, so one big-integer
+operation applies a gate to every input.  A cell mod 4 is two such planes,
+``hi`` (the classical bit) and ``lo`` (the half turn).  Running every
+input is limited to ``MAX_LINES`` = 16 lines, the largest permutation
+degree.
 """
 
 from __future__ import annotations
 
 from .circuits import Circuit, Gate
-from .perm import Permutation
+from .perm import MAX_DEGREE, Permutation
 
 
 class SimulationError(ValueError):
@@ -41,13 +51,6 @@ def simulate_classical(circuit: Circuit, x: int) -> int:
         if _controls_satisfied_classical(gate, x):
             x ^= 1 << (gate.target - 1)
     return x
-
-
-def truth_table(circuit: Circuit) -> Permutation:
-    """The permutation a Toffoli-only circuit computes over all inputs."""
-    return Permutation(
-        simulate_classical(circuit, x) for x in range(1 << circuit.lines)
-    )
 
 
 def simulate_semiclassical(circuit: Circuit, x: int) -> tuple[int, ...]:
@@ -82,10 +85,103 @@ def classical_readout(cells: tuple[int, ...]) -> int:
     return sum((c // 2) << i for i, c in enumerate(cells))
 
 
-def _run(circuit: Circuit, x: int) -> int:
-    if circuit.has_quantum_gates():
-        return classical_readout(simulate_semiclassical(circuit, x))
-    return simulate_classical(circuit, x)
+#: Widest circuit whose every input can be run: 2**16 inputs, MAX_DEGREE.
+MAX_LINES = MAX_DEGREE.bit_length() - 1
+
+_ASCII_BIT = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _input_columns(lines: int) -> list[int]:
+    """One column per line over all 2**lines inputs: bit x of column i is bit i of x."""
+    width = 1 << lines
+    columns = []
+    for i in range(lines):
+        run = 1 << i
+        column = ((1 << run) - 1) << run  # one period: run zeros, then run ones
+        period = 2 * run
+        while period < width:
+            column |= column << period
+            period *= 2
+        columns.append(column)
+    return columns
+
+
+def _simulate_columns(
+    circuit: Circuit, columns: list[int], full: int
+) -> tuple[list[int], int]:
+    """Run the circuit on many inputs at once, one bit lane per input.
+
+    ``columns`` holds one int per line whose bit lanes are the inputs, and
+    ``full`` has every lane set.  Returns the output columns and the mask
+    of lanes where the semi-classical model fails: a control read of a
+    half-rotated cell, or a half-rotated cell at the end.  Those lanes are
+    exactly the inputs on which ``simulate_semiclassical`` or
+    ``classical_readout`` raises, and their output bits are meaningless.
+    """
+    hi = list(columns)
+    if not circuit.has_quantum_gates():
+        for gate in circuit.gates:
+            fire = full
+            for line, pol in gate.controls:
+                fire &= hi[line - 1] if pol else ~hi[line - 1]
+            hi[gate.target - 1] ^= fire
+        return hi, 0
+    lo = [0] * len(hi)
+    poisoned = 0
+    for gate in circuit.gates:
+        fire = full
+        for line, pol in gate.controls:
+            poisoned |= lo[line - 1]
+            fire &= hi[line - 1] if pol else ~hi[line - 1]
+        t = gate.target - 1
+        if gate.kind == "t":
+            hi[t] ^= fire
+        elif gate.kind == "v":  # +1 mod 4: carry from lo into hi
+            hi[t] ^= lo[t] & fire
+            lo[t] ^= fire
+        else:  # v+, +3 = -1 mod 4: borrow from hi where lo is 0
+            hi[t] ^= ~lo[t] & fire
+            lo[t] ^= fire
+    for plane in lo:
+        poisoned |= plane
+    return hi, poisoned
+
+
+def _words(columns: list[int], width: int) -> list[int]:
+    """One word per lane: bit i of word x is bit x of column i."""
+    words = [0] * width
+    for i, column in enumerate(columns):
+        bits = format(column, f"0{width}b").encode().translate(_ASCII_BIT)[::-1]
+        words = [w | b << i for w, b in zip(words, bits)]
+    return words
+
+
+def simulate_all(circuit: Circuit) -> tuple[list[int], int]:
+    """Outputs for every input word, in the semi-classical model.
+
+    Returns the output word of each input and the mask of inputs whose run
+    fails (see ``_simulate_columns``); those inputs' words are meaningless.
+    """
+    if circuit.lines > MAX_LINES:
+        raise ValueError(
+            f"cannot run all inputs of a circuit on {circuit.lines} lines "
+            f"(at most {MAX_LINES})"
+        )
+    width = 1 << circuit.lines
+    columns = _input_columns(circuit.lines)
+    hi, poisoned = _simulate_columns(circuit, columns, (1 << width) - 1)
+    return _words(hi, width), poisoned
+
+
+def truth_table(circuit: Circuit) -> Permutation:
+    """The permutation a Toffoli-only circuit computes over all inputs."""
+    for gate in circuit.gates:
+        if gate.kind != "t":
+            raise SimulationError(
+                f"classical simulation cannot run a {gate.kind!r} gate"
+            )
+    outputs, _ = simulate_all(circuit)
+    return Permutation(outputs)
 
 
 def equivalent(circuit: Circuit, p: Permutation) -> bool:
@@ -98,10 +194,8 @@ def equivalent(circuit: Circuit, p: Permutation) -> bool:
         raise ValueError(
             f"circuit on {circuit.lines} lines cannot match degree {p.degree}"
         )
-    try:
-        return all(_run(circuit, x) == p(x) for x in range(p.degree))
-    except SimulationError:
-        return False
+    outputs, poisoned = simulate_all(circuit)
+    return not poisoned and tuple(outputs) == p.image
 
 
 def equivalent_with_ancilla(
@@ -122,18 +216,12 @@ def equivalent_with_ancilla(
         raise ValueError(
             f"circuit on {circuit.lines} lines with one ancilla cannot match degree {p.degree}"
         )
-    anc_bit = 1 << (ancilla - 1)
-    low_mask = anc_bit - 1
-    try:
-        for x in range(p.degree):
-            # Insert a 0 bit at the ancilla position to form the full input.
-            full = ((x & ~low_mask) << 1) | (x & low_mask)
-            out = _run(circuit, full)
-            if out & anc_bit:
-                return False
-            data = ((out >> 1) & ~low_mask) | (out & low_mask)
-            if data != p(x):
-                return False
-    except SimulationError:
+    # Lanes are the data inputs; the ancilla column enters as all zeros.
+    a = ancilla - 1
+    data = _input_columns(circuit.lines - 1)
+    hi, poisoned = _simulate_columns(
+        circuit, data[:a] + [0] + data[a:], (1 << p.degree) - 1
+    )
+    if poisoned or hi[a]:
         return False
-    return True
+    return tuple(_words(hi[:a] + hi[a + 1 :], p.degree)) == p.image

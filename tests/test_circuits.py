@@ -133,6 +133,21 @@ class TestParse:
         with pytest.raises(CircuitParseError):
             parse_circuit(".lines 2\nt x2 x2\n")
 
+    @pytest.mark.parametrize(
+        "text, line, column, message",
+        [
+            (".lines 2\n.lines 3\nt x3\n", 2, 1, "duplicate .lines"),
+            (".lines 3\n.ancilla 3\n  .ancilla 2\n", 3, 3, "duplicate .ancilla"),
+            (".lines 2\n.ancilla 5\n", 2, 10, "ancilla line x5 out of range"),
+            ("# header\n.ancilla 5\n.lines 2\n", 2, 10, "ancilla line x5 out of range"),
+        ],
+    )
+    def test_directive_errors_at_their_position(self, text, line, column, message):
+        with pytest.raises(CircuitParseError) as err:
+            parse_circuit(text)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert message in str(err.value)
+
     def test_unknown_token(self):
         with pytest.raises(CircuitParseError):
             parse_circuit(".lines 2\nq x1\n")

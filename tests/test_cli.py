@@ -1,4 +1,6 @@
 import json
+from decimal import Decimal
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -140,6 +142,28 @@ class TestCensus:
                 name: str(value) for name, value in formula_census(n).rows.items()
             }
 
+    def test_counts_beyond_the_int_str_digit_limit(self, capsys):
+        # (2**11)! has 5,895 digits, past CPython's default 4300-digit limit.
+        # Independent oracles: I(m) = I(m-1) + (m-1) I(m-2) and m!, rendered
+        # by decimal, which has no digit limit.
+        m = 1 << 11
+        inv = [1, 1]
+        for k in range(2, m + 1):
+            inv.append(inv[k - 1] + (k - 1) * inv[k - 2])
+        expected = {
+            "reversible": str(Decimal(factorial(m))),
+            "self-inverse": str(Decimal(inv[m])),
+            "transposition": str(m * (m - 1) // 2),
+        }
+        code, out = run(capsys, "census", "--n", "11")
+        assert code == 0
+        text_rows = dict(line.split(": ") for line in out.splitlines()[1:])
+        code, out = run(capsys, "census", "--n", "11", "--json")
+        assert code == 0
+        json_rows = json.loads(out)["rows"]
+        for name, digits in expected.items():
+            assert text_rows[name] == json_rows[name] == digits
+
 
 class TestSimulate:
     def test_single_input(self, capsys, tmp_path):
@@ -181,6 +205,20 @@ class TestSimulate:
         f = tmp_path / "or.rev"
         f.write_text(OR_CIRCUIT_TEXT)
         assert main(["simulate", "--circuit", str(f), "--input", "10"]) == 1
+
+    def test_all_rejects_more_than_sixteen_lines(self, capsys, tmp_path):
+        f = tmp_path / "wide.rev"
+        f.write_text(".lines 70\nt x1 x70\n")
+        assert main(["simulate", "--circuit", str(f), "--all"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and "70 lines" in captured.err
+        # One input of a wide circuit still runs.
+        bits = "1" + "0" * 69
+        code, out = run(capsys, "simulate", "--circuit", str(f), "--input", bits)
+        assert code == 0
+        assert out.endswith(" -> 1" + "0" * 68 + "1\n")
 
 
 class TestGoldenTranscripts:

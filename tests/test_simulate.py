@@ -1,10 +1,17 @@
+import contextlib
+import io
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from revpal.circuits import Circuit, Gate
+from revpal.circuits import Circuit, Gate, serialize_circuit
+from revpal.cli import main
 from revpal.gates import enumerate_gates
-from revpal.perm import Permutation
+from revpal.perm import Permutation, compose
 from revpal.simulate import (
     SimulationError,
     classical_readout,
@@ -15,6 +22,7 @@ from revpal.simulate import (
     simulate_semiclassical,
     truth_table,
 )
+from revpal.synth import build_palindrome
 
 # Update x3 with x1 or x2: fully negative-controlled flip, then plain flip.
 OR_CIRCUIT = Circuit(3, [Gate("t", 3, {1: False, 2: False}), Gate("t", 3)])
@@ -202,3 +210,164 @@ class TestEquivalence:
         # the data line when it is not; only the clean rows count.
         c = Circuit(2, [Gate("t", 1, {2: True})], ancilla=2)
         assert equivalent_with_ancilla(c, Permutation.identity(2))
+
+
+class TestBitslicedScale:
+    def test_palindrome_at_twelve_lines(self):
+        # 2**10 transpositions make 87,339 gates; the per-input oracles would
+        # need minutes for the 4096 inputs.
+        rng = random.Random(12)
+        points = rng.sample(range(1 << 12), 2 * (1 << 10))
+        p = Permutation.from_cycles(zip(points[::2], points[1::2]), 1 << 12)
+        circuit = build_palindrome(p)
+        assert equivalent(circuit, p)
+        swap = Permutation.from_cycles([points[:2]], 1 << 12)
+        assert not equivalent(circuit, compose(p, swap))
+
+
+# Differential tests: every whole-table answer must match a loop over the
+# per-input oracles ``simulate_classical`` and ``simulate_semiclassical``.
+
+
+@st.composite
+def gate_lists(draw, lines, max_gates=10):
+    """Mixed t/v/v+ gates; each v or v+ is doubled with probability 1/2.
+
+    A doubled half turn reads out classically, a lone one poisons the
+    inputs it fires on, so draws range from fully classical circuits to
+    partly and wholly non-classical ones.
+    """
+    gates = []
+    for _ in range(draw(st.integers(0, max_gates))):
+        kind = draw(st.sampled_from(("t", "v", "v+")))
+        target = draw(st.integers(1, lines))
+        others = [line for line in range(1, lines + 1) if line != target]
+        chosen = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+        controls = {line: draw(st.booleans()) for line in chosen}
+        gate = Gate(kind, target, controls)
+        gates.append(gate)
+        if kind != "t" and draw(st.booleans()):
+            gates.append(gate)
+    return gates
+
+
+@st.composite
+def circuits(draw, max_lines=6):
+    lines = draw(st.integers(1, max_lines))
+    return Circuit(lines, draw(gate_lists(lines)))
+
+
+def oracle_outputs(circuit, inputs):
+    """Per-input semi-classical readout, None where the oracle raises."""
+    outputs = []
+    for x in inputs:
+        try:
+            outputs.append(classical_readout(simulate_semiclassical(circuit, x)))
+        except SimulationError:
+            outputs.append(None)
+    return outputs
+
+
+def candidate_perms(outputs):
+    """Permutations to check against: identity, and the oracle's own table
+    with and without one extra swap when every output is classical."""
+    degree = len(outputs)
+    perms = [Permutation.identity(degree)]
+    if None not in outputs and len(set(outputs)) == degree:
+        table = Permutation(outputs)
+        perms.append(table)
+        if degree > 1:
+            perms.append(compose(table, Permutation.from_cycles([(0, 1)], degree)))
+    return perms
+
+
+class TestAgainstOracles:
+    @given(circuits())
+    def test_truth_table(self, circuit):
+        try:
+            inputs = range(1 << circuit.lines)
+            expected = [simulate_classical(circuit, x) for x in inputs]
+        except SimulationError:
+            with pytest.raises(SimulationError):
+                truth_table(circuit)
+            return
+        assert list(truth_table(circuit).image) == expected
+
+    @given(circuits())
+    def test_equivalent(self, circuit):
+        outputs = oracle_outputs(circuit, range(1 << circuit.lines))
+        for p in candidate_perms(outputs):
+            expected = all(y == p(x) for x, y in enumerate(outputs))
+            assert equivalent(circuit, p) == expected
+
+    @given(st.data())
+    def test_equivalent_with_ancilla(self, data):
+        # A data circuit widened by one untouched line at every position,
+        # then optionally disturbed by gates on the full width.
+        lines = data.draw(st.integers(2, 6))
+        base = Circuit(lines - 1, data.draw(gate_lists(lines - 1)))
+        noise = data.draw(gate_lists(lines, max_gates=2))
+        for a in range(1, lines + 1):
+
+            def widen(line):
+                return line + (line >= a)
+
+            gates = [
+                Gate(g.kind, widen(g.target), [(widen(c), pol) for c, pol in g.controls])
+                for g in base.gates
+            ]
+            circuit = Circuit(lines, gates + noise, ancilla=a)
+            low = (1 << (a - 1)) - 1
+            inputs = [(x & ~low) << 1 | (x & low) for x in range(1 << (lines - 1))]
+            outputs = oracle_outputs(circuit, inputs)
+            data_out = [
+                None if y is None or y >> (a - 1) & 1 else (y >> 1) & ~low | (y & low)
+                for y in outputs
+            ]
+            for p in candidate_perms(data_out):
+                expected = all(y == p(x) for x, y in enumerate(data_out))
+                assert equivalent_with_ancilla(circuit, p) == expected
+
+
+def _bits(value, lines):
+    return "".join(str((value >> i) & 1) for i in range(lines))
+
+
+def scalar_transcript(circuit, path, semi):
+    """What ``revpal simulate --all`` prints when run one input at a time."""
+    out = ["command: simulate", f"circuit: {path}"]
+    out.append(f"mode: {'semiclassical' if semi else 'classical'}")
+    err = []
+    code = 0
+    for x in range(1 << circuit.lines):
+        bits = _bits(x, circuit.lines)
+        try:
+            if semi:
+                y = classical_readout(simulate_semiclassical(circuit, x))
+            else:
+                y = simulate_classical(circuit, x)
+            out.append(f"{bits} -> {_bits(y, circuit.lines)}")
+        except SimulationError as exc:
+            out.append(f"{bits} -> non-classical")
+            err.append(f"input {bits}: {exc}")
+            code = 4
+    return code, "\n".join(out) + "\n", err
+
+
+class TestSimulateAllCommand:
+    @given(circuits(), st.booleans())
+    def test_matches_scalar_loop(self, circuit, flag):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "c.rev")
+            Path(path).write_text(serialize_circuit(circuit))
+            argv = ["simulate", "--circuit", path, "--all"]
+            if flag:
+                argv.append("--semiclassical")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            semi = flag or circuit.has_quantum_gates()
+            expected = scalar_transcript(circuit, path, semi)
+        err_lines = err.getvalue().splitlines()
+        assert err_lines[-1].startswith("time: ")
+        assert (code, out.getvalue(), err_lines[:-1]) == expected
