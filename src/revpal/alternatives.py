@@ -80,6 +80,11 @@ def decompose(p: Permutation) -> TargetDecomposition:
     return TargetDecomposition(gate, gate_perm, inner, surplus, sigma, k)
 
 
+def _retarget(gate: MpmctGate, kind: str, target: int) -> Gate:
+    """A ``kind`` gate on ``target`` with the controls of ``gate``."""
+    return Gate._from_masks(kind, target, gate.care, gate.value)
+
+
 def _mirrored(flank: Circuit, middle: list[Gate], lines: int, ancilla=None) -> Circuit:
     gates = flank.gates[::-1] + tuple(middle) + flank.gates
     return Circuit(lines, gates, ancilla)
@@ -97,10 +102,10 @@ def build_ancilla_circuit(p: Permutation) -> Circuit:
     n = d.gate.lines
     anc = n + 1
     compute = [
-        Gate("t", anc, transposition_gate(a, b, n).controls)
+        _retarget(transposition_gate(a, b, n), "t", anc)
         for a, b in sorted(d.surplus.transpositions())
     ]
-    compute.append(Gate("t", anc, d.gate.controls))
+    compute.append(_retarget(d.gate, "t", anc))
     cnot = Gate("t", d.gate.target, {anc: True})
     flank = synthesize_permutation(d.conjugator)
     middle = compute + [cnot] + compute[::-1]
@@ -119,7 +124,7 @@ def build_v_circuit(p: Permutation) -> Circuit:
     d = decompose(p)
     n = d.gate.lines
     halves = [
-        Gate("v", d.gate.target, transposition_gate(a, b, n).controls)
+        _retarget(transposition_gate(a, b, n), "v", d.gate.target)
         for a, b in sorted(d.surplus.transpositions())
     ]
     flank = synthesize_permutation(d.conjugator)

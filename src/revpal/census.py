@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .gates import enumerate_gates, enumerate_single_target_gates
-from .perm import Permutation
+from .perm import MAX_LINES, Permutation
 
 CLASS_NAMES = (
     "reversible",
@@ -197,6 +197,8 @@ def formula_census(n: int) -> CensusReport:
     """All six class counts by closed formula."""
     if n < 1:
         raise ValueError("need at least one line")
+    if n > MAX_LINES:
+        raise ValueError(f"the census counts at most {MAX_LINES} lines, got {n}")
     return CensusReport(n, "formula", {name: fn(n) for name, fn in _FORMULAS.items()})
 
 

@@ -5,6 +5,11 @@ Three kinds exist: ``"t"`` (Toffoli family: flip the target when every
 control matches its polarity), ``"v"`` (square root of NOT) and ``"v+"``
 (its inverse).  Line ``x_i`` is bit ``i-1`` of a state word, so the lowest
 line is the least significant bit.
+
+A gate stores its controls as two masks over those bits: ``care`` has bit
+``i-1`` set when ``x_i`` is a control, and ``value`` has the same bit set
+when that control is positive.  Its controls match the word ``x`` exactly
+when ``x & care == value``; that is the package's one control test.
 """
 
 from __future__ import annotations
@@ -16,6 +21,10 @@ from dataclasses import dataclass
 GATE_KINDS = ("t", "v", "v+")
 
 Controls = tuple[tuple[int, bool], ...]
+
+#: The most lines a circuit file may declare.  A gate's masks grow with the
+#: highest line it names; this keeps a parsed gate's at 128 bytes or less.
+MAX_CIRCUIT_LINES = 1024
 
 
 def normalize_controls(controls) -> Controls:
@@ -31,34 +40,69 @@ def normalize_controls(controls) -> Controls:
     return tuple(pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Gate:
     """One gate: kind, target line, and polarity-tagged control lines.
 
-    ``controls`` accepts a mapping ``{line: positive}`` or pairs and is
-    stored canonically, so structurally equal gates compare equal.
+    ``controls`` accepts a mapping ``{line: positive}`` or pairs.  It is
+    validated once and kept as the ``care``/``value`` masks; the
+    ``controls`` property reads the pairs back, sorted by line.
     """
 
     kind: str
     target: int
-    controls: Controls = ()
+    care: int
+    value: int
 
-    def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.target < 1:
-            raise ValueError(f"target line must be >= 1, got {self.target}")
-        object.__setattr__(self, "controls", normalize_controls(self.controls))
-        if any(line == self.target for line, _ in self.controls):
-            raise ValueError(f"target line x{self.target} listed among controls")
-        if any(line < 1 for line, _ in self.controls):
+    def __init__(self, kind: str, target: int, controls=()):
+        if kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        if target < 1:
+            raise ValueError(f"target line must be >= 1, got {target}")
+        pairs = normalize_controls(controls)
+        if any(line == target for line, _ in pairs):
+            raise ValueError(f"target line x{target} listed among controls")
+        if any(line < 1 for line, _ in pairs):
             raise ValueError("control lines must be >= 1")
+        _fill(self, kind, target, *_masks(pairs))
 
-    def control_lines(self) -> tuple[int, ...]:
-        return tuple(line for line, _ in self.controls)
+    @classmethod
+    def _from_masks(cls, kind: str, target: int, care: int, value: int) -> "Gate":
+        """A gate from masks its caller derived from already valid lines."""
+        return _fill(object.__new__(cls), kind, target, care, value)
+
+    @property
+    def controls(self) -> Controls:
+        care, value = self.care, self.value
+        lines = range(1, care.bit_length() + 1)
+        return tuple((i, bool(value >> (i - 1) & 1)) for i in lines if care >> (i - 1) & 1)
+
+    def fires(self, x: int) -> bool:
+        """True iff every control matches its polarity in the word ``x``."""
+        return x & self.care == self.value
 
     def max_line(self) -> int:
-        return max((self.target, *self.control_lines()))
+        return (self.care | 1 << (self.target - 1)).bit_length()
+
+    def __repr__(self) -> str:
+        return f"Gate(kind={self.kind!r}, target={self.target!r}, controls={self.controls!r})"
+
+
+def _masks(pairs) -> tuple[int, int]:
+    """``(care, value)`` of ``(line, positive)`` pairs."""
+    care = value = 0
+    for line, positive in pairs:
+        care |= 1 << (line - 1)
+        value |= positive << (line - 1)
+    return care, value
+
+
+def _fill(gate: Gate, kind: str, target: int, care: int, value: int) -> Gate:
+    object.__setattr__(gate, "kind", kind)
+    object.__setattr__(gate, "target", target)
+    object.__setattr__(gate, "care", care)
+    object.__setattr__(gate, "value", value)
+    return gate
 
 
 @dataclass(frozen=True)
@@ -78,7 +122,7 @@ class Circuit:
         if self.lines < 1:
             raise ValueError("a circuit needs at least one line")
         for g in self.gates:
-            if g.max_line() > self.lines:
+            if (g.care | 1 << (g.target - 1)) >> self.lines:
                 raise ValueError(
                     f"gate {g} uses line x{g.max_line()} but the circuit has {self.lines}"
                 )
@@ -132,7 +176,14 @@ def parse_circuit(text: str) -> Circuit:
     ancilla: int | None = None
     ancilla_at = (1, 1)
     gates: list[Gate] = []
+    # Gate lines repeat (a palindrome mirrors its flank), and once .lines is
+    # set a gate line always parses to the same gate.
+    seen: dict[str, Gate] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        gate = seen.get(raw)
+        if gate is not None:
+            gates.append(gate)
+            continue
         stripped = raw.split("#", 1)[0]
         tokens = [(m.start() + 1, m.group()) for m in _TOKEN_RE.finditer(stripped)]
         if not tokens:
@@ -142,6 +193,10 @@ def parse_circuit(text: str) -> Circuit:
             if lines is not None:
                 raise CircuitParseError(lineno, col0, "duplicate .lines directive")
             lines = _directive_int(tokens, lineno, ".lines")
+            if lines > MAX_CIRCUIT_LINES:
+                raise CircuitParseError(
+                    lineno, tokens[1][0], f".lines wants at most {MAX_CIRCUIT_LINES}"
+                )
         elif head == ".ancilla":
             if ancilla is not None:
                 raise CircuitParseError(lineno, col0, "duplicate .ancilla directive")
@@ -150,7 +205,8 @@ def parse_circuit(text: str) -> Circuit:
         elif head in GATE_KINDS:
             if lines is None:
                 raise CircuitParseError(lineno, col0, "gate before .lines header")
-            gates.append(_parse_gate(tokens, lineno, lines))
+            gate = seen[raw] = _parse_gate(tokens, lineno, lines)
+            gates.append(gate)
         else:
             raise CircuitParseError(
                 lineno, col0, f"expected a directive or gate kind, got {head!r}"
@@ -169,33 +225,39 @@ def _directive_int(tokens, lineno: int, name: str) -> int:
         col = tokens[0][0]
         raise CircuitParseError(lineno, col, f"{name} takes exactly one integer")
     col, tok = tokens[1]
-    if not tok.isdigit() or int(tok) < 1:
+    try:
+        number = int(tok) if tok.isdecimal() else 0
+    except ValueError:  # more digits than int() reads
+        number = 0
+    if number < 1:
         raise CircuitParseError(lineno, col, f"{name} wants a positive integer, got {tok!r}")
-    return int(tok)
+    return number
 
 
 def _parse_gate(tokens, lineno: int, lines: int) -> Gate:
-    _, kind = tokens[0]
+    col0, kind = tokens[0]
     if len(tokens) < 2:
-        raise CircuitParseError(lineno, tokens[0][0], "gate needs a target line")
-    parsed = []
+        raise CircuitParseError(lineno, col0, "gate needs a target line")
+    pairs = []
     for col, tok in tokens[1:]:
         m = _CONTROL_RE.match(tok)
         if not m:
-            raise CircuitParseError(
-                lineno, col, f"expected x<i> or -x<i>, got {tok!r}"
-            )
-        line = int(m.group(2))
-        if not 1 <= line <= lines:
-            raise CircuitParseError(lineno, col, f"line x{line} out of range 1..{lines}")
-        parsed.append((col, line, m.group(1) != "-"))
-    tcol, target, positive = parsed[-1]
+            raise CircuitParseError(lineno, col, f"expected x<i> or -x<i>, got {tok!r}")
+        digits = m.group(2).lstrip("0") or "0"  # as int() prints it; int() may refuse
+        if len(digits) > len(str(lines)) or not 1 <= int(digits) <= lines:
+            raise CircuitParseError(lineno, col, f"line x{digits} out of range 1..{lines}")
+        pairs.append((int(digits), m.group(1) != "-"))
+    tcol = tokens[-1][0]
+    target, positive = pairs.pop()
     if not positive:
         raise CircuitParseError(lineno, tcol, "the target (last token) cannot be negated")
-    try:
-        return Gate(kind, target, [(line, pol) for _, line, pol in parsed[:-1]])
-    except ValueError as exc:
-        raise CircuitParseError(lineno, tcol, str(exc)) from None
+    care, value = _masks(pairs)
+    if care.bit_count() < len(pairs) or care >> (target - 1) & 1:
+        try:  # a line named twice: the constructor words the fault
+            Gate(kind, target, pairs)
+        except ValueError as exc:
+            raise CircuitParseError(lineno, tcol, str(exc)) from None
+    return Gate._from_masks(kind, target, care, value)
 
 
 def serialize_circuit(circuit: Circuit) -> str:
@@ -203,9 +265,13 @@ def serialize_circuit(circuit: Circuit) -> str:
     out = [f".lines {circuit.lines}"]
     if circuit.ancilla is not None:
         out.append(f".ancilla {circuit.ancilla}")
+    texts: dict[Gate, str] = {}  # gates repeat, as in parse_circuit
     for g in circuit.gates:
-        tokens = [g.kind]
-        tokens += [("x" if pol else "-x") + str(line) for line, pol in g.controls]
-        tokens.append(f"x{g.target}")
-        out.append(" ".join(tokens))
+        text = texts.get(g)
+        if text is None:
+            tokens = [g.kind]
+            tokens += [("x" if pol else "-x") + str(line) for line, pol in g.controls]
+            tokens.append(f"x{g.target}")
+            text = texts[g] = " ".join(tokens)
+        out.append(text)
     return "\n".join(out) + "\n"

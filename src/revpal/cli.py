@@ -17,7 +17,7 @@ from pathlib import Path
 from . import census as census_mod
 from .alternatives import build_ancilla_circuit, build_v_circuit
 from .circuits import Circuit, CircuitParseError, parse_circuit, serialize_circuit
-from .perm import Permutation, cycle_string, lines_for_degree, parse_permutation
+from .perm import MAX_LINES, Permutation, cycle_string, lines_for_degree, parse_permutation
 from .simulate import (
     SimulationError,
     classical_readout,
@@ -53,7 +53,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_permutation(args) -> Permutation:
-    degree = (1 << args.n) if getattr(args, "n", None) else None
+    n = getattr(args, "n", None)
+    if n and not 1 <= n <= MAX_LINES:
+        raise CliError(f"--n wants a line count in 1..{MAX_LINES}, got {n}")
+    degree = (1 << n) if n else None
     try:
         return parse_permutation(args.perm, degree=degree)
     except ValueError as exc:
@@ -148,15 +151,7 @@ def _cmd_synth(args) -> int:
 def _cmd_verify(args) -> int:
     p = _load_permutation(args)
     circuit = _load_circuit(args.circuit)
-    if args.ancilla:
-        ok = equivalent_with_ancilla(circuit, p)
-    else:
-        if 1 << circuit.lines != p.degree:
-            raise CliError(
-                f"circuit on {circuit.lines} lines cannot match a permutation "
-                f"of degree {p.degree}"
-            )
-        ok = equivalent(circuit, p)
+    ok = equivalent_with_ancilla(circuit, p) if args.ancilla else equivalent(circuit, p)
     print("command: verify")
     print(f"circuit: {args.circuit}")
     print(f"permutation: {cycle_string(p)}")
@@ -284,6 +279,8 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SystemExit as exc:  # --help printed the usage
+        return exc.code
     print(f"time: {time.perf_counter() - started:.4f}s", file=sys.stderr)
     return code
 

@@ -13,102 +13,84 @@ k-dimensional subcube of the same size, so they fill it; the pairing across
 the flipped bit is then forced, and the constant bits outside the subcube
 are exactly the gate's controls.  Varying in fewer or more than k positions,
 or being spread over several target lines, rules a set out.
+
+``MpmctGate`` is a circuit ``Gate`` plus its line count: it swaps ``value``
+plus each assignment of the free lines with its partner across the target.
+From endpoints ``a``, ``b`` the target bit is ``a ^ b``, ``care`` is every
+other line and ``value`` is ``a & care``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from dataclasses import dataclass
 
-from .circuits import Gate, normalize_controls
+from .circuits import Gate
 from .perm import Permutation, Transposition
 
 
-class MpmctGate:
+class _Swaps:
+    """The permutation of a gate that swaps the pairs ``transpositions()``."""
+
+    __slots__ = ()
+
+    def permutation(self) -> Permutation:
+        return Permutation.from_transpositions(self.transpositions(), 1 << self.lines)
+
+
+@dataclass(frozen=True, slots=True, init=False, repr=False)
+class MpmctGate(Gate, _Swaps):
     """A mixed-polarity multiple-control Toffoli gate on ``lines`` lines.
 
-    Flips ``target`` iff every control line matches its polarity (True for
-    positive: the line must carry 1; False for negative).  No controls means
-    a plain NOT.  Lines that are neither target nor control are free.
+    A ``t`` :class:`Gate` plus its line count: it flips ``target`` iff
+    every control line matches its polarity (True for positive: the line
+    must carry 1; False for negative).  No controls means a plain NOT.
+    Lines that are neither target nor control are free.
     """
 
-    __slots__ = ("_lines", "_target", "_controls")
+    lines: int
 
     def __init__(self, lines: int, target: int, controls=()):
         if lines < 1:
             raise ValueError("a gate needs at least one line")
         if not 1 <= target <= lines:
             raise ValueError(f"target x{target} out of range 1..{lines}")
-        ctrl = normalize_controls(controls)
-        for line, _ in ctrl:
-            if not 1 <= line <= lines:
-                raise ValueError(f"control x{line} out of range 1..{lines}")
-            if line == target:
-                raise ValueError(f"target x{target} listed among controls")
-        self._lines = lines
-        self._target = target
-        self._controls = ctrl
-
-    @property
-    def lines(self) -> int:
-        return self._lines
-
-    @property
-    def target(self) -> int:
-        return self._target
-
-    @property
-    def controls(self) -> tuple[tuple[int, bool], ...]:
-        return self._controls
+        Gate.__init__(self, "t", target, controls)
+        if self.care >> lines:
+            raise ValueError(f"control x{self.care.bit_length()} out of range 1..{lines}")
+        object.__setattr__(self, "lines", lines)
 
     @property
     def num_controls(self) -> int:
-        return len(self._controls)
+        return self.care.bit_count()
 
     def free_lines(self) -> tuple[int, ...]:
-        taken = {self._target, *(line for line, _ in self._controls)}
-        return tuple(i for i in range(1, self._lines + 1) if i not in taken)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MpmctGate):
-            return NotImplemented
-        return (self._lines, self._target, self._controls) == (
-            other._lines,
-            other._target,
-            other._controls,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._lines, self._target, self._controls))
+        taken = self.care | 1 << (self.target - 1)
+        return tuple(i for i in range(1, self.lines + 1) if not taken >> (i - 1) & 1)
 
     def __repr__(self) -> str:
-        ctrl = ", ".join(
-            ("x" if pol else "-x") + str(line) for line, pol in self._controls
-        )
-        return f"MpmctGate(lines={self._lines}, target=x{self._target}, controls=[{ctrl}])"
-
-    def satisfied(self, x: int) -> bool:
-        return all((x >> (line - 1)) & 1 == pol for line, pol in self._controls)
-
-    def apply(self, x: int) -> int:
-        return x ^ (1 << (self._target - 1)) if self.satisfied(x) else x
+        ctrl = ", ".join(("x" if pol else "-x") + str(line) for line, pol in self.controls)
+        return f"MpmctGate(lines={self.lines}, target=x{self.target}, controls=[{ctrl}])"
 
     def transpositions(self) -> frozenset[Transposition]:
-        """The input pairs the gate swaps: one per satisfying free-line assignment."""
-        bit = 1 << (self._target - 1)
-        return frozenset(
-            (x, x | bit)
-            for x in range(1 << self._lines)
-            if not x & bit and self.satisfied(x)
-        )
-
-    def permutation(self) -> Permutation:
-        return Permutation(self.apply(x) for x in range(1 << self._lines))
+        """The pairs ``(x, x | target bit)`` over the inputs ``x`` it fires on."""
+        bit = 1 << (self.target - 1)
+        inputs = range(1 << self.lines)
+        return frozenset((x, x | bit) for x in inputs if not x & bit and self.fires(x))
 
     def circuit_gate(self) -> Gate:
-        return Gate("t", self._target, self._controls)
+        return Gate._from_masks("t", self.target, self.care, self.value)
 
 
-class SingleTargetGate:
+def _mpmct(lines: int, target: int, care: int, value: int) -> MpmctGate:
+    """An unchecked MpmctGate, like ``Gate._from_masks``."""
+    gate = MpmctGate._from_masks("t", target, care, value)
+    object.__setattr__(gate, "lines", lines)
+    return gate
+
+
+@dataclass(frozen=True, slots=True, repr=False)
+class SingleTargetGate(_Swaps):
     """Gate flipping ``target`` iff a Boolean function of the other lines holds.
 
     The control function is a truth-table bitmask over the ``2**(n-1)``
@@ -116,75 +98,33 @@ class SingleTargetGate:
     (lowest non-target line = least significant index bit).
     """
 
-    __slots__ = ("_lines", "_target", "_table")
+    lines: int
+    target: int
+    table: int
 
-    def __init__(self, lines: int, target: int, table: int):
-        if lines < 1:
+    def __post_init__(self):
+        if self.lines < 1:
             raise ValueError("a gate needs at least one line")
-        if not 1 <= target <= lines:
-            raise ValueError(f"target x{target} out of range 1..{lines}")
-        if not 0 <= table < 1 << (1 << (lines - 1)):
+        if not 1 <= self.target <= self.lines:
+            raise ValueError(f"target x{self.target} out of range 1..{self.lines}")
+        if not 0 <= self.table < 1 << (1 << (self.lines - 1)):
             raise ValueError(
-                f"control table must fit in {1 << (lines - 1)} bits, got {table}"
+                f"control table must fit in {1 << (self.lines - 1)} bits, got {self.table}"
             )
-        self._lines = lines
-        self._target = target
-        self._table = table
-
-    @property
-    def lines(self) -> int:
-        return self._lines
-
-    @property
-    def target(self) -> int:
-        return self._target
-
-    @property
-    def table(self) -> int:
-        return self._table
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SingleTargetGate):
-            return NotImplemented
-        return (self._lines, self._target, self._table) == (
-            other._lines,
-            other._target,
-            other._table,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._lines, self._target, self._table))
 
     def __repr__(self) -> str:
-        return f"SingleTargetGate(lines={self._lines}, target=x{self._target}, table={self._table:#x})"
-
-    def control_index(self, x: int) -> int:
-        """Pack the non-target bits of ``x`` into a control-table index."""
-        idx = 0
-        shift = 0
-        for line in range(1, self._lines + 1):
-            if line == self._target:
-                continue
-            idx |= ((x >> (line - 1)) & 1) << shift
-            shift += 1
-        return idx
-
-    def satisfied(self, x: int) -> bool:
-        return bool((self._table >> self.control_index(x)) & 1)
-
-    def apply(self, x: int) -> int:
-        return x ^ (1 << (self._target - 1)) if self.satisfied(x) else x
+        return f"SingleTargetGate(lines={self.lines}, target=x{self.target}, table={self.table:#x})"
 
     def transpositions(self) -> frozenset[Transposition]:
-        bit = 1 << (self._target - 1)
-        return frozenset(
-            (x, x | bit)
-            for x in range(1 << self._lines)
-            if not x & bit and self.satisfied(x)
-        )
-
-    def permutation(self) -> Permutation:
-        return Permutation(self.apply(x) for x in range(1 << self._lines))
+        """One pair per set table bit: its index with a 0 spliced in at the target."""
+        bit = 1 << (self.target - 1)
+        below = bit - 1
+        pairs = []
+        for j in range(1 << (self.lines - 1)):
+            if self.table >> j & 1:
+                x = (j & below) | (j & ~below) << 1
+                pairs.append((x, x | bit))
+        return frozenset(pairs)
 
 
 def line_transpositions(n: int, i: int) -> frozenset[Transposition]:
@@ -223,13 +163,8 @@ def transposition_gate(a: int, b: int, n: int) -> MpmctGate:
         raise ValueError(f"{a} and {b} are not at Hamming distance 1")
     if not 0 <= a < 1 << n or not 0 <= b < 1 << n:
         raise ValueError(f"endpoints {a}, {b} out of range for {n} lines")
-    target = diff.bit_length()
-    controls = {
-        line: bool((a >> (line - 1)) & 1)
-        for line in range(1, n + 1)
-        if line != target
-    }
-    return MpmctGate(n, target, controls)
+    care = ((1 << n) - 1) ^ diff
+    return _mpmct(n, diff.bit_length(), care, a & care)
 
 
 def span_mask(transpositions: Iterable[Transposition]) -> int:
@@ -258,7 +193,7 @@ def recognize_mpmct(
     several target lines, a non-power-of-two count, or ``2**(k-1)`` pairs
     varying in other than k positions.  The input must be pairwise disjoint.
     """
-    ts = set(transpositions)
+    ts = {(min(ab), max(ab)) for ab in transpositions}
     if not ts:
         return None
     endpoints = [v for ab in ts for v in ab]
@@ -266,27 +201,15 @@ def recognize_mpmct(
         raise ValueError("transpositions must be pairwise disjoint")
     if any(not 0 <= v < 1 << n for v in endpoints):
         raise ValueError(f"endpoint out of range for {n} lines")
-    diffs = {a ^ b for a, b in ts}
-    if len(diffs) != 1:
-        return None
-    diff = diffs.pop()
-    if diff & (diff - 1):
-        return None
-    target = diff.bit_length()
-    count = len(ts)
-    if count & (count - 1):
-        return None
-    k = count.bit_length()
+    # By the subcube argument only the gate on the spanned subcube can swap
+    # 2**(k-1) pairs that vary in k positions; check that it swaps these.
     span = span_mask(ts)
-    if span.bit_count() != k:
+    if len(ts) != 1 << (span.bit_count() - 1):
         return None
-    v0 = endpoints[0]
-    controls = {
-        line: bool((v0 >> (line - 1)) & 1)
-        for line in range(1, n + 1)
-        if not (span >> (line - 1)) & 1
-    }
-    return MpmctGate(n, target, controls)
+    a, b = min(ts)
+    care = ((1 << n) - 1) ^ span
+    gate = _mpmct(n, (a ^ b).bit_length(), care, a & care)
+    return gate if gate.transpositions() == ts else None
 
 
 def enumerate_gates(
@@ -306,29 +229,20 @@ def enumerate_gates(
     targets = [target] if target is not None else list(range(1, n + 1))
     out: list[MpmctGate] = []
     for t in targets:
-        others = [line for line in range(1, n + 1) if line != t]
-        for assignment in _control_assignments(others):
-            gate = MpmctGate(n, t, assignment)
-            if k is None or gate.num_controls == n - k:
-                out.append(gate)
+        others = [1 << (line - 1) for line in range(1, n + 1) if line != t]
+        # Lowest other line fastest, each one free, positive, then negative.
+        for code in range(3 ** (n - 1)):
+            care = value = 0
+            for bit in others:
+                code, digit = divmod(code, 3)
+                care |= bit if digit else 0
+                value |= bit if digit == 1 else 0
+            if k is None or care.bit_count() == n - k:
+                out.append(_mpmct(n, t, care, value))
     return out
 
 
 def enumerate_single_target_gates(n: int) -> list[SingleTargetGate]:
     """All ``n * 2**(2**(n-1))`` single-target gates on n lines."""
-    out = []
-    for target in range(1, n + 1):
-        for table in range(1 << (1 << (n - 1))):
-            out.append(SingleTargetGate(n, target, table))
-    return out
-
-
-def _control_assignments(lines: list[int]):
-    if not lines:
-        yield {}
-        return
-    first, rest = lines[0], lines[1:]
-    for tail in _control_assignments(rest):
-        yield tail
-        yield {first: True, **tail}
-        yield {first: False, **tail}
+    tables = range(1 << (1 << (n - 1)))
+    return [SingleTargetGate(n, t, table) for t in range(1, n + 1) for table in tables]

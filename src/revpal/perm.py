@@ -16,7 +16,9 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 
-MAX_DEGREE = 1 << 16
+#: The most lines run on every input at once, or counted by the census.
+MAX_LINES = 16
+MAX_DEGREE = 1 << MAX_LINES
 
 #: A 2-cycle, stored canonically as ``(a, b)`` with ``a < b``.
 Transposition = tuple[int, int]
@@ -53,6 +55,8 @@ class Permutation:
     @classmethod
     def from_cycles(cls, cycles: Iterable[Iterable[int]], degree: int) -> "Permutation":
         """Build a permutation from disjoint cycles; omitted elements are fixpoints."""
+        if not 1 <= degree <= MAX_DEGREE:  # before building the image
+            raise ValueError(f"degree must be between 1 and {MAX_DEGREE}, got {degree}")
         image = list(range(degree))
         seen: set[int] = set()
         for cycle in cycles:

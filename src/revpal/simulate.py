@@ -24,8 +24,10 @@ degree.
 
 from __future__ import annotations
 
-from .circuits import Circuit, Gate
-from .perm import MAX_DEGREE, Permutation
+from functools import lru_cache
+
+from .circuits import Circuit
+from .perm import MAX_LINES, Permutation
 
 
 class SimulationError(ValueError):
@@ -33,10 +35,6 @@ class SimulationError(ValueError):
 
 
 _KIND_DELTA = {"t": 2, "v": 1, "v+": 3}
-
-
-def _controls_satisfied_classical(gate: Gate, x: int) -> bool:
-    return all((x >> (line - 1)) & 1 == pol for line, pol in gate.controls)
 
 
 def simulate_classical(circuit: Circuit, x: int) -> int:
@@ -48,7 +46,7 @@ def simulate_classical(circuit: Circuit, x: int) -> int:
             raise SimulationError(
                 f"classical simulation cannot run a {gate.kind!r} gate"
             )
-        if _controls_satisfied_classical(gate, x):
+        if gate.fires(x):
             x ^= 1 << (gate.target - 1)
     return x
 
@@ -57,21 +55,22 @@ def simulate_semiclassical(circuit: Circuit, x: int) -> tuple[int, ...]:
     """Run any circuit on a classical input; returns the per-line cells mod 4."""
     if not 0 <= x < 1 << circuit.lines:
         raise ValueError(f"input {x} out of range for {circuit.lines} lines")
-    cells = [2 * ((x >> i) & 1) for i in range(circuit.lines)]
+    # Line x_i's cell is 2 * (bit i-1 of twos) + (bit i-1 of ones).
+    twos, ones = x, 0
     for gate in circuit.gates:
-        fired = True
-        for line, pol in gate.controls:
-            cell = cells[line - 1]
-            if cell not in (0, 2):
-                raise SimulationError(
-                    f"control on line x{line} read while non-classical (cell={cell})"
-                )
-            if (cell == 2) != pol:
-                fired = False
-        if fired:
-            idx = gate.target - 1
-            cells[idx] = (cells[idx] + _KIND_DELTA[gate.kind]) % 4
-    return tuple(cells)
+        half_turned = gate.care & ones
+        if half_turned:
+            line = (half_turned & -half_turned).bit_length()
+            cell = 2 * (twos >> (line - 1) & 1) + 1
+            raise SimulationError(
+                f"control on line x{line} read while non-classical (cell={cell})"
+            )
+        if gate.fires(twos):
+            bit = 1 << (gate.target - 1)
+            cell = (2 * bool(twos & bit) + bool(ones & bit) + _KIND_DELTA[gate.kind]) % 4
+            twos = twos | bit if cell >= 2 else twos & ~bit
+            ones = ones | bit if cell & 1 else ones & ~bit
+    return tuple(2 * (twos >> i & 1) + (ones >> i & 1) for i in range(circuit.lines))
 
 
 def is_classical(cells: tuple[int, ...]) -> bool:
@@ -84,9 +83,6 @@ def classical_readout(cells: tuple[int, ...]) -> int:
         raise SimulationError(f"non-classical state, cells={list(cells)}")
     return sum((c // 2) << i for i, c in enumerate(cells))
 
-
-#: Widest circuit whose every input can be run: 2**16 inputs, MAX_DEGREE.
-MAX_LINES = MAX_DEGREE.bit_length() - 1
 
 _ASCII_BIT = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -106,6 +102,12 @@ def _input_columns(lines: int) -> list[int]:
     return columns
 
 
+@lru_cache(maxsize=1 << 12)
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def _simulate_columns(
     circuit: Circuit, columns: list[int], full: int
 ) -> tuple[list[int], int]:
@@ -119,21 +121,27 @@ def _simulate_columns(
     ``classical_readout`` raises, and their output bits are meaningless.
     """
     hi = list(columns)
-    if not circuit.has_quantum_gates():
-        for gate in circuit.gates:
-            fire = full
-            for line, pol in gate.controls:
-                fire &= hi[line - 1] if pol else ~hi[line - 1]
-            hi[gate.target - 1] ^= fire
-        return hi, 0
+    quantum = circuit.has_quantum_gates()
     lo = [0] * len(hi)
     poisoned = 0
     for gate in circuit.gates:
+        # The control test x & care == value, lane-wise: the positive
+        # controls (value) read 1 and the negative ones (care ^ value) read 0.
+        positive = _bits(gate.value)
+        negative = _bits(gate.care ^ gate.value)
         fire = full
-        for line, pol in gate.controls:
-            poisoned |= lo[line - 1]
-            fire &= hi[line - 1] if pol else ~hi[line - 1]
+        for i in positive:
+            fire &= hi[i]
+        blocked = 0
+        for i in negative:
+            blocked |= hi[i]
+        fire &= ~blocked
         t = gate.target - 1
+        if not quantum:
+            hi[t] ^= fire
+            continue
+        for i in positive + negative:
+            poisoned |= lo[i]
         if gate.kind == "t":
             hi[t] ^= fire
         elif gate.kind == "v":  # +1 mod 4: carry from lo into hi

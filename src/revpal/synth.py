@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate
-from .gates import MpmctGate, recognize_mpmct, transposition_gate
+from .gates import MpmctGate, recognize_mpmct
 from .perm import Permutation, find_conjugator, lines_for_degree
 
 NOT_INVOLUTION = "not-involution"
@@ -75,16 +75,17 @@ def transposition_chain(a: int, b: int, n: int) -> tuple[Gate, ...]:
     """
     if a == b:
         raise ValueError("transposition endpoints must differ")
-    path = [a]
-    v = a
+    if not 0 <= a < 1 << n or not 0 <= b < 1 << n:
+        raise ValueError(f"endpoints {a}, {b} out of range for {n} lines")
+    full = (1 << n) - 1
+    steps = []
     diff = a ^ b
-    for i in range(n):
-        if (diff >> i) & 1:
-            v ^= 1 << i
-            path.append(v)
-    steps = [
-        transposition_gate(u, w, n).circuit_gate() for u, w in zip(path, path[1:])
-    ]
+    while diff:
+        bit = diff & -diff
+        care = full ^ bit
+        steps.append(Gate._from_masks("t", bit.bit_length(), care, a & care))
+        a ^= bit
+        diff ^= bit
     return tuple(steps + steps[-2::-1])
 
 

@@ -194,7 +194,7 @@ class TestVConstruction:
                         (x >> (line - 1)) & 1 == pol for line, pol in g.controls
                     )
                     if v_fires:
-                        assert d.gate.satisfied(x)
+                        assert d.gate.fires(x)
 
     def test_palindromic_with_multiple_surplus_gates(self):
         rng = random.Random(67)

@@ -20,7 +20,7 @@ from revpal.census import (
     iter_involutions,
     partitions,
 )
-from revpal.perm import Permutation
+from revpal.perm import MAX_LINES, Permutation
 
 
 class TestDoubleFactorial:
@@ -134,6 +134,10 @@ class TestFormulas:
             a.append(a[m - 1] + (m - 1) * a[m - 2])
         for n in (1, 2, 3, 4, 5):
             assert count_involutions(n) == a[1 << n]
+
+    def test_formula_census_line_ceiling(self):
+        with pytest.raises(ValueError):
+            formula_census(MAX_LINES + 1)
 
     def test_palindromic_against_type_counts(self):
         for n in (1, 2, 3, 4):

@@ -1,6 +1,10 @@
+import copy
+import pickle
+
 import pytest
 
 from revpal.circuits import (
+    MAX_CIRCUIT_LINES,
     Circuit,
     CircuitParseError,
     Gate,
@@ -33,13 +37,29 @@ class TestGate:
         with pytest.raises(ValueError):
             Gate("x", 1)
 
+    def test_repr_and_immutability(self):
+        g = Gate("t", 3, {2: False, 1: True})
+        assert repr(g) == "Gate(kind='t', target=3, controls=((1, True), (2, False)))"
+        assert (g.care, g.value) == (0b011, 0b001)
+        with pytest.raises(AttributeError):
+            g.kind = "v"
+        assert pickle.loads(pickle.dumps(g)) == copy.copy(g) == g
+
+    def test_fires_is_the_mask_test(self):
+        g = Gate("t", 3, {1: True, 2: False})
+        assert [x for x in range(8) if g.fires(x)] == [1, 5]
+
 
 class TestCircuit:
     def test_line_range_enforced(self):
         with pytest.raises(ValueError):
             Circuit(2, [Gate("t", 3)])
-        with pytest.raises(ValueError):
-            Circuit(2, [Gate("t", 1, {3: True})])
+        with pytest.raises(ValueError) as err:
+            Circuit(2, [Gate("t", 1), Gate("t", 1, {3: True})])
+        assert str(err.value) == (
+            "gate Gate(kind='t', target=1, controls=((3, True),)) "
+            "uses line x3 but the circuit has 2"
+        )
 
     def test_ancilla_range(self):
         with pytest.raises(ValueError):
@@ -147,6 +167,56 @@ class TestParse:
             parse_circuit(text)
         assert (err.value.line, err.value.column) == (line, column)
         assert message in str(err.value)
+
+    @pytest.mark.parametrize(
+        "gate_line, column, message",
+        [
+            (
+                "t x1 -x2 -x1 x3",
+                14,
+                "duplicate control line in [(1, False), (1, True), (2, False)]",
+            ),
+            ("t  x2 -x1 x2", 11, "target line x2 listed among controls"),
+            (
+                "t x3 x1 x3 x3",
+                12,
+                "duplicate control line in [(1, True), (3, True), (3, True)]",
+            ),
+            ("t x1 x4 x2", 6, "line x4 out of range 1..3"),
+            ("t x004 x2", 3, "line x4 out of range 1..3"),
+            ("t x1 x" + "9" * 5000, 6, f"line x{'9' * 5000} out of range 1..3"),
+            ("t x2 -x3", 6, "the target (last token) cannot be negated"),
+        ],
+    )
+    def test_gate_errors_keep_message_and_column(self, gate_line, column, message):
+        with pytest.raises(CircuitParseError) as err:
+            parse_circuit(f".lines 3\n{gate_line}\n")
+        assert (err.value.line, err.value.column) == (2, column)
+        assert str(err.value) == f"line 2, column {column}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, column, message",
+        [
+            (f".lines {MAX_CIRCUIT_LINES + 1}\n", 8, ".lines wants at most 1024"),
+            (".lines \u00b2\n", 8, ".lines wants a positive integer, got '\u00b2'"),
+            (".lines 2\n.ancilla " + "9" * 5000 + "\n", 10, ".ancilla wants a positive"),
+        ],
+    )
+    def test_directive_numbers_stay_parse_errors(self, text, column, message):
+        with pytest.raises(CircuitParseError) as err:
+            parse_circuit(text)
+        assert err.value.column == column
+        assert message in str(err.value)
+
+    def test_repeated_gate_lines_parse_alike(self):
+        text = ".lines 3\nt -x1 x3\nt x2 x1\nt -x1 x3\n"
+        c = parse_circuit(text)
+        assert c.gates == (
+            Gate("t", 3, {1: False}),
+            Gate("t", 1, {2: True}),
+            Gate("t", 3, {1: False}),
+        )
+        assert serialize_circuit(c) == text
 
     def test_unknown_token(self):
         with pytest.raises(CircuitParseError):

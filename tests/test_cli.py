@@ -164,6 +164,14 @@ class TestCensus:
         for name, digits in expected.items():
             assert text_rows[name] == json_rows[name] == digits
 
+    def test_census_beyond_sixteen_lines_exits_1(self, capsys):
+        for n in ("17", "40"):
+            assert main(["census", "--n", n]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert captured.err.startswith("error: ") and "16 lines" in captured.err
+
 
 class TestSimulate:
     def test_single_input(self, capsys, tmp_path):

@@ -1,8 +1,11 @@
+import copy
+import pickle
 import random
 from itertools import combinations
 
 import pytest
 
+from revpal.circuits import Gate
 from revpal.gates import (
     MpmctGate,
     SingleTargetGate,
@@ -70,10 +73,22 @@ class TestMpmctGate:
 
     def test_transposition_count(self):
         # 2**(k-1) transpositions for k-1 free lines.
-        for n in (2, 3, 4):
+        for n in (1, 2, 3, 4):
             for g in enumerate_gates(n):
                 k = n - g.num_controls
                 assert len(g.transpositions()) == 2 ** (k - 1)
+                # The masks against the per-line definitions: the gate fires
+                # where every control line carries its polarity, and swaps
+                # each such input with its target-flipped partner.
+                bit = 1 << (g.target - 1)
+                fires = [
+                    all((x >> (line - 1)) & 1 == pol for line, pol in g.controls)
+                    for x in range(1 << n)
+                ]
+                assert [g.fires(x) for x in range(1 << n)] == fires
+                assert g.transpositions() == {
+                    (x, x | bit) for x in range(1 << n) if not x & bit and fires[x]
+                }
 
     def test_permutation_is_involution(self):
         for g in enumerate_gates(3):
@@ -87,6 +102,18 @@ class TestMpmctGate:
         assert g.transpositions() == {(0, 1)}
         with pytest.raises(ValueError):
             transposition_gate(0, 3, 3)
+
+    def test_repr_equality_and_hash(self):
+        g = MpmctGate(3, 3, {2: False, 1: False})
+        assert repr(g) == "MpmctGate(lines=3, target=x3, controls=[-x1, -x2])"
+        assert g == MpmctGate(3, 3, [(1, False), (2, False)])
+        assert hash(g) == hash(MpmctGate(3, 3, [(1, False), (2, False)]))
+        assert g != MpmctGate(4, 3, {1: False, 2: False})
+        assert g != g.circuit_gate()
+        assert g.circuit_gate() == Gate("t", 3, {1: False, 2: False})
+        with pytest.raises(AttributeError):
+            g.target = 2
+        assert pickle.loads(pickle.dumps(g)) == copy.copy(g) == g
 
 
 class TestSpanMask:
@@ -124,6 +151,9 @@ class TestRecognize:
     def test_mixed_lines_rejected(self):
         # (0 1) flips line 1 but (2 6) flips line 3.
         assert recognize_mpmct({(0, 1), (2, 6)}, 3) is None
+        # These fill a subcube of the right size, but flip several lines.
+        assert recognize_mpmct({(0, 1), (2, 3), (4, 6), (5, 7)}, 3) is None
+        assert recognize_mpmct({(0, 3), (1, 2)}, 2) is None
 
     def test_non_power_of_two_rejected(self):
         assert recognize_mpmct({(0, 1), (2, 3), (4, 5)}, 3) is None
@@ -217,6 +247,24 @@ class TestSingleTarget:
     def test_transpositions_stay_on_target_line(self):
         for g in enumerate_single_target_gates(2):
             assert g.transpositions() <= line_transpositions(2, g.target)
+
+    def test_transpositions_match_the_table(self):
+        # Scan every input: pack its non-target bits, lowest line first,
+        # and look the index up in the table.
+        for n in (1, 2, 3):
+            for g in enumerate_single_target_gates(n):
+                bit = 1 << (g.target - 1)
+                expected = set()
+                for x in range(1 << n):
+                    if x & bit:
+                        continue
+                    others = [line for line in range(1, n + 1) if line != g.target]
+                    index = sum(
+                        ((x >> (line - 1)) & 1) << j for j, line in enumerate(others)
+                    )
+                    if (g.table >> index) & 1:
+                        expected.add((x, x | bit))
+                assert g.transpositions() == expected
 
     def test_enumeration_count(self):
         for n in (1, 2, 3):

@@ -281,7 +281,33 @@ def candidate_perms(outputs):
     return perms
 
 
+def cell_model(circuit, x):
+    """The semi-classical model spelled out per line: one cell mod 4 each,
+    a control read only while its cell is 0 or 2."""
+    cells = [2 * ((x >> i) & 1) for i in range(circuit.lines)]
+    for gate in circuit.gates:
+        fired = True
+        for line, pol in gate.controls:
+            cell = cells[line - 1]
+            if cell not in (0, 2):
+                return f"control on line x{line} read while non-classical (cell={cell})"
+            fired = fired and (cell == 2) == pol
+        if fired:
+            delta = {"t": 2, "v": 1, "v+": 3}[gate.kind]
+            cells[gate.target - 1] = (cells[gate.target - 1] + delta) % 4
+    return tuple(cells)
+
+
 class TestAgainstOracles:
+    @given(circuits())
+    def test_semiclassical_oracle_is_the_cell_model(self, circuit):
+        for x in range(1 << circuit.lines):
+            try:
+                got = simulate_semiclassical(circuit, x)
+            except SimulationError as exc:
+                got = str(exc)
+            assert got == cell_model(circuit, x)
+
     @given(circuits())
     def test_truth_table(self, circuit):
         try:

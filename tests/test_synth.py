@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -94,6 +95,28 @@ class TestTranspositionChain:
     def test_equal_endpoints_rejected(self):
         with pytest.raises(ValueError):
             transposition_chain(3, 3, 3)
+        with pytest.raises(ValueError):
+            transposition_chain(3, 8, 3)
+
+    def test_gates_match_the_public_constructor(self):
+        # The chain built from (line, polarity) pairs: flip the differing
+        # bits lowest line first, each step controlled by all other lines.
+        for n in (1, 2, 3, 4):
+            for a, b in combinations(range(1 << n), 2):
+                steps, u = [], a
+                for t in range(1, n + 1):
+                    if (a ^ b) >> (t - 1) & 1:
+                        controls = [
+                            (line, bool((u >> (line - 1)) & 1))
+                            for line in range(1, n + 1)
+                            if line != t
+                        ]
+                        steps.append(Gate("t", t, controls))
+                        u ^= 1 << (t - 1)
+                expected = tuple(steps + steps[-2::-1])
+                got = transposition_chain(a, b, n)
+                assert got == expected
+                assert [hash(g) for g in got] == [hash(g) for g in expected]
 
 
 class TestSynthesizePermutation:
