@@ -141,8 +141,8 @@ class Circuit:
 
     def is_palindromic(self) -> bool:
         """True iff the gate list equals its own reversal, gate by gate."""
-        k = len(self.gates)
-        return all(self.gates[i] == self.gates[k - 1 - i] for i in range(k // 2))
+        # One tuple comparison, in C; it skips the pairs that are one object.
+        return self.gates == self.gates[::-1]
 
     def parity(self) -> str:
         return "even" if len(self.gates) % 2 == 0 else "odd"
@@ -265,13 +265,26 @@ def serialize_circuit(circuit: Circuit) -> str:
     out = [f".lines {circuit.lines}"]
     if circuit.ancilla is not None:
         out.append(f".ancilla {circuit.ancilla}")
-    texts: dict[Gate, str] = {}  # gates repeat, as in parse_circuit
+    # Line i's tokens at index i, up to the highest line a gate has used.
+    positive: list[str] = []
+    negative: list[str] = []
+    # Gates repeat, as in parse_circuit.  A tuple key hashes in C, where a
+    # Gate key would run the dataclass's __hash__ and __eq__ in Python.
+    texts: dict[tuple[str, int, int, int], str] = {}
     for g in circuit.gates:
-        text = texts.get(g)
+        key = (g.kind, g.target, g.care, g.value)
+        text = texts.get(key)
         if text is None:
+            for line in range(len(positive), g.max_line() + 1):
+                positive.append(f"x{line}")
+                negative.append(f"-x{line}")
+            care, value = g.care, g.value
             tokens = [g.kind]
-            tokens += [("x" if pol else "-x") + str(line) for line, pol in g.controls]
-            tokens.append(f"x{g.target}")
-            text = texts[g] = " ".join(tokens)
+            while care:  # the controls' set bits, lowest line first
+                low = care & -care
+                tokens.append((positive if value & low else negative)[low.bit_length()])
+                care ^= low
+            tokens.append(positive[g.target])
+            text = texts[key] = " ".join(tokens)
         out.append(text)
     return "\n".join(out) + "\n"

@@ -10,6 +10,7 @@ non-classical simulation readout.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -54,9 +55,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_permutation(args) -> Permutation:
     n = getattr(args, "n", None)
-    if n and not 1 <= n <= MAX_LINES:
+    if n is not None and not 1 <= n <= MAX_LINES:
         raise CliError(f"--n wants a line count in 1..{MAX_LINES}, got {n}")
-    degree = (1 << n) if n else None
+    degree = None if n is None else 1 << n
     try:
         return parse_permutation(args.perm, degree=degree)
     except ValueError as exc:
@@ -223,6 +224,7 @@ def _cmd_simulate(args) -> int:
     return code
 
 
+@functools.cache  # the parser depends on no input; main may run many times
 def _build_parser() -> _Parser:
     parser = _Parser(prog="revpal", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -2,8 +2,11 @@ import copy
 import pickle
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from revpal.circuits import (
+    GATE_KINDS,
     MAX_CIRCUIT_LINES,
     Circuit,
     CircuitParseError,
@@ -11,8 +14,71 @@ from revpal.circuits import (
     parse_circuit,
     serialize_circuit,
 )
+from revpal.gates import MpmctGate
 
 FIG_OR = ".lines 3\nt -x1 -x2 x3\nt x3\n"
+
+
+# References and strategies for the differential tests below: the pairwise
+# palindrome test, and the formatter that decodes each gate's controls.
+
+
+def pairwise_palindromic(circuit):
+    g = circuit.gates
+    k = len(g)
+    return all(g[i] == g[k - 1 - i] for i in range(k // 2))
+
+
+def reference_text(circuit):
+    out = [f".lines {circuit.lines}"]
+    if circuit.ancilla is not None:
+        out.append(f".ancilla {circuit.ancilla}")
+    for g in circuit.gates:
+        tokens = [g.kind]
+        tokens += [("x" if pol else "-x") + str(line) for line, pol in g.controls]
+        tokens.append(f"x{g.target}")
+        out.append(" ".join(tokens))
+    return "\n".join(out) + "\n"
+
+
+def twin(g):
+    """A gate equal to ``g`` that is another object."""
+    return Gate(g.kind, g.target, g.controls)
+
+
+@st.composite
+def gates(draw, lines):
+    kind = draw(st.sampled_from(GATE_KINDS))
+    target = draw(st.integers(1, lines))
+    care = draw(st.integers(0, (1 << lines) - 1)) & ~(1 << (target - 1))
+    value = draw(st.integers(0, (1 << lines) - 1))
+    lines_used = [i for i in range(1, lines + 1) if care >> (i - 1) & 1]
+    return Gate(kind, target, {i: bool(value >> (i - 1) & 1) for i in lines_used})
+
+
+@st.composite
+def near_misses(draw, g):
+    """A gate that differs from ``g`` only in its kind or in one polarity."""
+    controls = dict(g.controls)
+    if controls and draw(st.booleans()):
+        line = draw(st.sampled_from(sorted(controls)))
+        controls[line] = not controls[line]
+        return Gate(g.kind, g.target, controls)
+    kind = draw(st.sampled_from([k for k in GATE_KINDS if k != g.kind]))
+    return Gate(kind, g.target, controls)
+
+
+@st.composite
+def shared_gate_circuits(draw):
+    """Circuits on 1..16 lines that hold a stock of gates and near misses of
+    them, each used again as the same object or as a twin."""
+    lines = draw(st.integers(1, 16))
+    stock = draw(st.lists(gates(lines), min_size=1, max_size=4))
+    stock += [draw(near_misses(g)) for g in stock]
+    uses = draw(st.lists(st.tuples(st.sampled_from(stock), st.booleans()), max_size=16))
+    used = stock + [twin(g) if copied else g for g, copied in uses]
+    ancilla = draw(st.none() | st.integers(1, lines))
+    return Circuit(lines, draw(st.permutations(used)), ancilla)
 
 
 class TestGate:
@@ -86,7 +152,33 @@ class TestCircuit:
         vdg = Gate("v+", 2, {1: True})
         t = Gate("t", 1)
         assert Circuit(2, [v, t, v]).is_palindromic()
+        assert Circuit(2, [v, t, twin(v)]).is_palindromic()
         assert not Circuit(2, [v, t, vdg]).is_palindromic()
+        assert not Circuit(2, [vdg, v, t, twin(vdg), v]).is_palindromic()
+
+    def test_circuit_gate_mirrors_an_equal_plain_gate(self):
+        flank = MpmctGate(3, 3, {1: False, 2: True}).circuit_gate()
+        plain = Gate("t", 3, {1: False, 2: True})
+        assert flank is not plain
+        assert Circuit(3, [flank, Gate("t", 1), plain]).is_palindromic()
+        assert Circuit(3, [plain, flank]).is_palindromic()
+        assert not Circuit(3, [flank, Gate("t", 1, {2: True})]).is_palindromic()
+
+    @given(st.data())
+    def test_is_palindromic_is_the_pairwise_definition(self, data):
+        circuit = data.draw(shared_gate_circuits())
+        flank = list(circuit.gates)
+        middle = data.draw(st.lists(gates(circuit.lines), max_size=1))
+        mirror = [twin(g) if data.draw(st.booleans()) else g for g in reversed(flank)]
+        spoiled = bool(mirror) and data.draw(st.booleans())
+        if spoiled:  # a mirrored gate of another kind: t or v+ to v, v to v+
+            i = data.draw(st.integers(0, len(mirror) - 1))
+            g = mirror[i]
+            kind = {"t": "v", "v": "v+", "v+": "v"}[g.kind]
+            mirror[i] = Gate(kind, g.target, g.controls)
+        built = Circuit(circuit.lines, flank + middle + mirror)
+        assert built.is_palindromic() == (not spoiled) == pairwise_palindromic(built)
+        assert circuit.is_palindromic() == pairwise_palindromic(circuit)
 
     def test_reversed(self):
         g1, g2 = Gate("t", 1), Gate("t", 2, {1: False})
@@ -243,3 +335,14 @@ class TestRoundTrip:
     def test_v_round_trip(self):
         c = Circuit(3, [Gate("v", 3, {1: False}), Gate("v+", 3, {2: True})])
         assert parse_circuit(serialize_circuit(c)) == c
+
+    def test_serialize_costs_what_the_gates_use_not_the_line_count(self):
+        c = Circuit(10**9, [Gate("t", 5, {2: False})])
+        assert serialize_circuit(c) == ".lines 1000000000\nt -x2 x5\n"
+
+    @given(shared_gate_circuits())
+    def test_serialize_matches_the_token_by_token_formatter(self, circuit):
+        text = serialize_circuit(circuit)
+        assert text == reference_text(circuit)
+        assert parse_circuit(text) == circuit
+

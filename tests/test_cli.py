@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from revpal.circuits import parse_circuit
-from revpal.cli import main
+from revpal.cli import _build_parser, main
 from revpal.perm import parse_permutation
 from revpal.simulate import equivalent, equivalent_with_ancilla
 
@@ -114,6 +114,40 @@ class TestVerify:
 
     def test_missing_file(self, capsys):
         assert main(["verify", "--circuit", "/nonexistent.rev", "--perm", "()"]) == 1
+
+
+@pytest.mark.parametrize("n", ["0", "17", "-1"])
+@pytest.mark.parametrize("subcommand", ["classify", "synth", "verify"])
+def test_line_count_override_out_of_range_exits_1(capsys, tmp_path, subcommand, n):
+    f = tmp_path / "or.rev"
+    f.write_text(OR_CIRCUIT_TEXT)
+    argv = [subcommand, "--perm", "(0 1)", "--n", n]
+    if subcommand == "verify":
+        argv += ["--circuit", str(f)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --n wants a line count in 1..16, got {n}\n"
+
+
+def test_calls_in_one_process_share_the_parser_but_no_options(capsys, tmp_path):
+    assert _build_parser() is _build_parser()
+    golden = (GOLDEN / "synth_worked.txt").read_text()
+    f = tmp_path / "worked.rev"
+    code, out = run(capsys, "synth", "--perm", WORKED_PERM, "-o", str(f))
+    assert code == 0
+    assert out.endswith(f"written: {f}\n")
+    assert golden.endswith(f.read_text())
+    assert run(capsys, "synth", "--perm", WORKED_PERM) == (0, golden)
+    code, out = run(capsys, "verify", "--circuit", str(f), "--perm", WORKED_PERM, "--ancilla")
+    assert (code, out.splitlines()[-1]) == (0, "equivalent: true")
+    # Without --ancilla the 4-line file cannot match a degree-8 permutation.
+    assert main(["verify", "--circuit", str(f), "--perm", WORKED_PERM]) == 1
+    assert "cannot match degree 8" in capsys.readouterr().err
+    for _ in range(2):
+        code, out = run(capsys, "-h")
+        assert code == 0
+        assert out.startswith("usage: revpal")
 
 
 class TestCensus:
