@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .circuits import Circuit, Gate
 from .gates import MpmctGate, transposition_gate
 from .perm import Permutation, find_conjugator, lines_for_degree
-from .synth import NEEDS_ALTERNATIVE, classify, synthesize_permutation
+from .synth import NEEDS_ALTERNATIVE, _palindrome, classify
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,8 @@ def decompose(p: Permutation) -> TargetDecomposition:
     s = c.size
     k = s.bit_length()  # ceil(log2(s)) for non-powers of two
     gate = container_gate(n, k)
-    gate_perm = gate.permutation()
     ts = sorted(gate.transpositions())
+    gate_perm = Permutation.from_transpositions(ts, p.degree)
     inner = Permutation.from_transpositions(ts[-s:], p.degree)
     surplus = Permutation.from_transpositions(ts[: len(ts) - s], p.degree)
     sigma = find_conjugator(p, inner)
@@ -83,11 +83,6 @@ def decompose(p: Permutation) -> TargetDecomposition:
 def _retarget(gate: MpmctGate, kind: str, target: int) -> Gate:
     """A ``kind`` gate on ``target`` with the controls of ``gate``."""
     return Gate._from_masks(kind, target, gate.care, gate.value)
-
-
-def _mirrored(flank: Circuit, middle: list[Gate], lines: int, ancilla=None) -> Circuit:
-    gates = flank.gates[::-1] + tuple(middle) + flank.gates
-    return Circuit(lines, gates, ancilla)
 
 
 def build_ancilla_circuit(p: Permutation) -> Circuit:
@@ -107,9 +102,7 @@ def build_ancilla_circuit(p: Permutation) -> Circuit:
     ]
     compute.append(_retarget(d.gate, "t", anc))
     cnot = Gate("t", d.gate.target, {anc: True})
-    flank = synthesize_permutation(d.conjugator)
-    middle = compute + [cnot] + compute[::-1]
-    return _mirrored(flank, middle, n + 1, ancilla=anc)
+    return _palindrome(d.conjugator, compute + [cnot] + compute[::-1], n + 1, anc)
 
 
 def build_v_circuit(p: Permutation) -> Circuit:
@@ -127,6 +120,4 @@ def build_v_circuit(p: Permutation) -> Circuit:
         _retarget(transposition_gate(a, b, n), "v", d.gate.target)
         for a, b in sorted(d.surplus.transpositions())
     ]
-    flank = synthesize_permutation(d.conjugator)
-    middle = halves + [d.gate.circuit_gate()] + halves[::-1]
-    return _mirrored(flank, middle, n)
+    return _palindrome(d.conjugator, halves + [d.gate.circuit_gate()] + halves[::-1], n)

@@ -44,35 +44,33 @@ EXIT_CENSUS_RANGE = 3
 EXIT_NONCLASSICAL = 4
 
 
-class CliError(Exception):
-    """Usage or input error; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
+
+
+def _line_count(n: int) -> int:
+    """``n`` itself, if it is a line count ``--n`` accepts."""
+    if not 1 <= n <= MAX_LINES:
+        raise ValueError(f"--n wants a line count in 1..{MAX_LINES}, got {n}")
+    return n
 
 
 def _load_permutation(args) -> Permutation:
     n = getattr(args, "n", None)
-    if n is not None and not 1 <= n <= MAX_LINES:
-        raise CliError(f"--n wants a line count in 1..{MAX_LINES}, got {n}")
-    degree = None if n is None else 1 << n
-    try:
-        return parse_permutation(args.perm, degree=degree)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    degree = None if n is None else 1 << _line_count(n)
+    return parse_permutation(args.perm, degree=degree)
 
 
 def _load_circuit(path: str) -> Circuit:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
     try:
         return parse_circuit(text)
     except CircuitParseError as exc:
-        raise CliError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def classification_text(c: Classification, n: int) -> str:
@@ -115,17 +113,14 @@ def _cmd_synth(args) -> int:
     mode = args.mode
     if mode == "auto":
         if c.kind == NOT_INVOLUTION:
-            raise CliError("cannot synthesize: the permutation is not self-inverse")
+            raise ValueError("cannot synthesize: the permutation is not self-inverse")
         mode = "palindrome" if c.kind in (IDENTITY, PALINDROMIC) else "ancilla"
-    try:
-        if mode == "palindrome":
-            circuit = build_palindrome(p)
-        elif mode == "ancilla":
-            circuit = build_ancilla_circuit(p)
-        else:
-            circuit = build_v_circuit(p)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    if mode == "palindrome":
+        circuit = build_palindrome(p)
+    elif mode == "ancilla":
+        circuit = build_ancilla_circuit(p)
+    else:
+        circuit = build_v_circuit(p)
     if circuit.ancilla is not None:
         ok = equivalent_with_ancilla(circuit, p)
     else:
@@ -142,7 +137,10 @@ def _cmd_synth(args) -> int:
         return EXIT_VERIFY
     text = serialize_circuit(circuit)
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.output}: {exc}") from None
         print(f"written: {args.output}")
     else:
         print(text, end="")
@@ -162,6 +160,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_census(args) -> int:
+    _line_count(args.n)
     if args.brute_force:
         try:
             report = census_mod.brute_force_census(args.n)
@@ -184,7 +183,7 @@ def _format_bits(value: int, lines: int) -> str:
 
 def _parse_bits(text: str, lines: int) -> int:
     if len(text) != lines or any(ch not in "01" for ch in text):
-        raise CliError(f"input must be {lines} bits of 0/1 (x1 first), got {text!r}")
+        raise ValueError(f"input must be {lines} bits of 0/1 (x1 first), got {text!r}")
     return sum(int(ch) << i for i, ch in enumerate(text))
 
 
@@ -201,7 +200,7 @@ def _cmd_simulate(args) -> int:
             (x, None if poisoned >> x & 1 else out) for x, out in enumerate(outputs)
         ]
     else:
-        raise CliError("need --input BITS or --all")
+        raise ValueError("need --input BITS or --all")
     semi = args.semiclassical or circuit.has_quantum_gates()
     print("command: simulate")
     print(f"circuit: {args.circuit}")
@@ -278,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         code = args.fn(args)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # --help printed the usage

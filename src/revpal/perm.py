@@ -137,7 +137,7 @@ class Permutation:
 
     def cycle_type(self) -> tuple[int, ...]:
         """Cycle lengths in non-increasing order: an integer partition of the degree."""
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
+        return tuple(map(len, self.cycles()))
 
     def num_cycles(self) -> int:
         """Number of cycles, fixpoints included."""
@@ -190,12 +190,13 @@ def find_conjugator(p: Permutation, q: Permutation) -> Permutation:
     in canonical cycle form and matched cycle by cycle, element by element,
     so ``find_conjugator(p, p)`` is the identity.
     """
-    if p.cycle_type() != q.cycle_type():
-        raise ValueError(
-            f"cycle types differ: {p.cycle_type()} vs {q.cycle_type()}"
-        )
+    p_cycles, q_cycles = p.cycles(), q.cycles()
+    # Canonical cycles come longest first, so their lengths are the cycle type.
+    p_type, q_type = tuple(map(len, p_cycles)), tuple(map(len, q_cycles))
+    if p_type != q_type:
+        raise ValueError(f"cycle types differ: {p_type} vs {q_type}")
     image = [0] * p.degree
-    for pc, qc in zip(p.cycles(), q.cycles()):
+    for pc, qc in zip(p_cycles, q_cycles):
         for px, qx in zip(pc, qc):
             image[qx] = px
     return Permutation(image)

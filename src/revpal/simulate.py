@@ -121,35 +121,33 @@ def _simulate_columns(
     ``classical_readout`` raises, and their output bits are meaningless.
     """
     hi = list(columns)
-    quantum = circuit.has_quantum_gates()
     lo = [0] * len(hi)
-    poisoned = 0
+    turned = poisoned = 0  # turned: the lines some v or v+ has targeted
     for gate in circuit.gates:
         # The control test x & care == value, lane-wise: the positive
         # controls (value) read 1 and the negative ones (care ^ value) read 0.
-        positive = _bits(gate.value)
-        negative = _bits(gate.care ^ gate.value)
         fire = full
-        for i in positive:
+        for i in _bits(gate.value):
             fire &= hi[i]
         blocked = 0
-        for i in negative:
+        for i in _bits(gate.care ^ gate.value):
             blocked |= hi[i]
         fire &= ~blocked
+        # Lanes that read a control while its cell is half-turned fail; lo is
+        # 0 on every line that no v or v+ has targeted.
+        if gate.care & turned:
+            for i in _bits(gate.care & turned):
+                poisoned |= lo[i]
         t = gate.target - 1
-        if not quantum:
-            hi[t] ^= fire
-            continue
-        for i in positive + negative:
-            poisoned |= lo[i]
         if gate.kind == "t":
             hi[t] ^= fire
-        elif gate.kind == "v":  # +1 mod 4: carry from lo into hi
+            continue
+        turned |= 1 << t
+        if gate.kind == "v":  # +1 mod 4: carry from lo into hi
             hi[t] ^= lo[t] & fire
-            lo[t] ^= fire
         else:  # v+, +3 = -1 mod 4: borrow from hi where lo is 0
             hi[t] ^= ~lo[t] & fire
-            lo[t] ^= fire
+        lo[t] ^= fire
     for plane in lo:
         poisoned |= plane
     return hi, poisoned

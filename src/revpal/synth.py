@@ -127,8 +127,12 @@ def build_palindrome(p: Permutation) -> Circuit:
     if middle is None:
         middle = canonical_gate(n, c.k)
     sigma = find_conjugator(p, middle.permutation())
-    flank = synthesize_permutation(sigma)
+    return _palindrome(sigma, [middle.circuit_gate()], n)
+
+
+def _palindrome(sigma: Permutation, middle: list[Gate], lines: int, ancilla=None) -> Circuit:
+    """``sigma``'s flank mirrored around ``middle``; all three builders end here."""
+    flank = synthesize_permutation(sigma).gates
     # Gates run left to right, so the mirror of the sigma-flank comes first:
-    # the cascade computes sigma . middle . sigma^-1 = p.
-    gates = flank.gates[::-1] + (middle.circuit_gate(),) + flank.gates
-    return Circuit(n, gates)
+    # the cascade computes sigma . middle . sigma^-1.
+    return Circuit(lines, flank[::-1] + tuple(middle) + flank, ancilla)

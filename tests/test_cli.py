@@ -94,6 +94,15 @@ class TestSynth:
     def test_non_involution_rejected(self, capsys):
         assert main(["synth", "--perm", "(0 1 2)"]) == 1
 
+    @pytest.mark.parametrize("where", ["missing/x.rev", "."])
+    def test_unwritable_output_exits_1(self, capsys, tmp_path, where):
+        target = tmp_path / where
+        assert main(["synth", "--perm", "(0 1)", "-o", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert "written:" not in captured.out
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestVerify:
     def test_wrong_permutation_exits_2(self, capsys, tmp_path):
@@ -113,15 +122,34 @@ class TestVerify:
         assert code == 0
 
     def test_missing_file(self, capsys):
-        assert main(["verify", "--circuit", "/nonexistent.rev", "--perm", "()"]) == 1
+        # "(0 1)" parses, so the exit comes from the missing file.
+        assert main(["verify", "--circuit", "/nonexistent.rev", "--perm", "(0 1)"]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read /nonexistent.rev: ")
+
+    @pytest.mark.parametrize("subcommand", ["verify", "simulate"])
+    def test_file_that_is_not_utf8_names_the_path(self, capsys, tmp_path, subcommand):
+        f = tmp_path / "latin1.rev"
+        f.write_bytes(b".lines 2\n# \xe9\nt x1\n")
+        argv = [subcommand, "--circuit", str(f)]
+        argv += ["--perm", "(0 1)"] if subcommand == "verify" else ["--all"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {f}: ")
+        assert "codec can't decode" in captured.err
+        assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("n", ["0", "17", "-1"])
-@pytest.mark.parametrize("subcommand", ["classify", "synth", "verify"])
+@pytest.mark.parametrize(
+    "subcommand", ["classify", "synth", "verify", "census", "census --brute-force"]
+)
 def test_line_count_override_out_of_range_exits_1(capsys, tmp_path, subcommand, n):
     f = tmp_path / "or.rev"
     f.write_text(OR_CIRCUIT_TEXT)
-    argv = [subcommand, "--perm", "(0 1)", "--n", n]
+    argv = subcommand.split() + ["--n", n]
+    if subcommand in ("classify", "synth", "verify"):
+        argv += ["--perm", "(0 1)"]
     if subcommand == "verify":
         argv += ["--circuit", str(f)]
     assert main(argv) == 1
@@ -203,8 +231,7 @@ class TestCensus:
             assert main(["census", "--n", n]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err.count("\n") == 1
-            assert captured.err.startswith("error: ") and "16 lines" in captured.err
+            assert captured.err == f"error: --n wants a line count in 1..16, got {n}\n"
 
 
 class TestSimulate:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -253,3 +254,33 @@ class TestConjugatorBridge:
             flank = synthesize_permutation(sigma)
             c = Circuit(3, flank.gates[::-1] + (middle.circuit_gate(),) + flank.gates)
             assert truth_table(c) == conjugate(sigma, middle.permutation())
+
+
+def _seeded_involution(rng, n, s):
+    points = list(range(1 << n))
+    rng.shuffle(points)
+    pairs = zip(points[0 : 2 * s : 2], points[1 : 2 * s : 2])
+    return Permutation.from_transpositions(pairs, 1 << n)
+
+
+# sha256 of every builder output below, captured before the three builders
+# shared one palindrome assembly.  A change to the gates any builder emits
+# (flank order, middle gate, surplus blocks) must update it on purpose.
+BUILDER_BYTES_SHA256 = "521d80ce3171edc3bbde7d22bbba666dd3bf81f5d0b5dd95f2e66020c375d518"
+
+
+def test_builder_bytes_are_pinned_for_four_to_eight_lines():
+    from revpal.alternatives import build_ancilla_circuit, build_v_circuit
+    from revpal.circuits import serialize_circuit
+
+    digest = hashlib.sha256()
+    for n in range(4, 9):
+        rng = random.Random(f"builder-bytes:{n}")
+        for s in (1, 1 << (n - 2)):
+            p = _seeded_involution(rng, n, s)
+            digest.update(serialize_circuit(build_palindrome(p)).encode())
+        for s in (3, (1 << (n - 2)) + 1):
+            p = _seeded_involution(rng, n, s)
+            digest.update(serialize_circuit(build_ancilla_circuit(p)).encode())
+            digest.update(serialize_circuit(build_v_circuit(p)).encode())
+    assert digest.hexdigest() == BUILDER_BYTES_SHA256
