@@ -10,7 +10,6 @@ from .alternatives import (
     TargetDecomposition,
     build_ancilla_circuit,
     build_v_circuit,
-    container_gate,
     decompose,
 )
 from .census import (
@@ -43,6 +42,7 @@ from .gates import (
     enumerate_single_target_gates,
     hamming_one_transpositions,
     line_transpositions,
+    nearest_gate,
     recognize_mpmct,
     span_mask,
     transposition_gate,
@@ -70,7 +70,6 @@ from .simulate import (
 from .synth import (
     Classification,
     build_palindrome,
-    canonical_gate,
     classify,
     synthesize_permutation,
     transposition_chain,
@@ -94,13 +93,11 @@ __all__ = [
     "build_ancilla_circuit",
     "build_palindrome",
     "build_v_circuit",
-    "canonical_gate",
     "centralizer_order",
     "classical_readout",
     "classify",
     "compose",
     "conjugate",
-    "container_gate",
     "count_involutions",
     "count_mpmct",
     "count_of_type",
@@ -121,6 +118,7 @@ __all__ = [
     "iter_involutions",
     "line_transpositions",
     "lines_for_degree",
+    "nearest_gate",
     "one_line",
     "parse_circuit",
     "parse_permutation",

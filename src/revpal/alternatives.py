@@ -2,9 +2,10 @@
 
 When the transposition count s of an involution is not a power of two,
 no single gate shares its cycle type.  Both constructions here embed the
-function into the nearest larger gate instead: pick a container gate with
-2**k transpositions (2**(k-1) < s < 2**k), keep s of its transpositions as
-the conjugated core, and cancel the surplus ones.
+function into the nearest larger gate instead: pick the container gate
+with 2**k transpositions (2**(k-1) < s < 2**k) nearest the involution,
+keep the s of its transpositions that the involution's pairs match as the
+conjugated core, and cancel the surplus ones.
 
 * The ancilla construction evaluates "core fires" into an extra
   zero-initialized line, copies it onto the target with one CNOT, then
@@ -20,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate
-from .gates import MpmctGate, transposition_gate
-from .perm import Permutation, find_conjugator, lines_for_degree
+from .gates import MpmctGate, nearest_gate, transposition_gate
+from .perm import Permutation, find_conjugator, lines_for_degree, match_pairs
 from .synth import NEEDS_ALTERNATIVE, _palindrome, classify
 
 
@@ -45,23 +46,13 @@ class TargetDecomposition:
     k: int
 
 
-def container_gate(n: int, k: int) -> MpmctGate:
-    """The fixed gate with ``2**k`` transpositions used as the container.
-
-    Target xn, lines x1..xk free, lines x(k+1)..x(n-1) positively
-    controlled.  Requires k <= n-1.
-    """
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k={k} out of range 1..{n - 1}")
-    return MpmctGate(n, n, {line: True for line in range(k + 1, n)})
-
-
 def decompose(p: Permutation) -> TargetDecomposition:
     """Split ``p`` into container gate, conjugated core, and surplus.
 
     Only defined for involutions whose transposition count is not a power
-    of two.  Deterministic: the core keeps the lexicographically largest
-    transpositions of the container gate, dropping the smallest ones.
+    of two.  The container is ``nearest_gate`` with ``2**k`` pairs; the
+    core is the ``s`` pairs of it that ``match_pairs`` sends ``p``'s pairs
+    to, nearest first, so the conjugator moves few points.
     """
     c = classify(p)
     if c.kind != NEEDS_ALTERNATIVE:
@@ -71,11 +62,13 @@ def decompose(p: Permutation) -> TargetDecomposition:
     n = lines_for_degree(p.degree)
     s = c.size
     k = s.bit_length()  # ceil(log2(s)) for non-powers of two
-    gate = container_gate(n, k)
-    ts = sorted(gate.transpositions())
+    p_pairs = p.transpositions()
+    gate = nearest_gate(p_pairs, n, k)
+    ts = gate.transpositions()
+    core = {(min(a, b), max(a, b)) for a, b, _, _ in match_pairs(p_pairs, ts, n)}
     gate_perm = Permutation.from_transpositions(ts, p.degree)
-    inner = Permutation.from_transpositions(ts[-s:], p.degree)
-    surplus = Permutation.from_transpositions(ts[: len(ts) - s], p.degree)
+    inner = Permutation.from_transpositions(core, p.degree)
+    surplus = Permutation.from_transpositions(ts - core, p.degree)
     sigma = find_conjugator(p, inner)
     return TargetDecomposition(gate, gate_perm, inner, surplus, sigma, k)
 

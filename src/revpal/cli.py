@@ -64,7 +64,7 @@ def _load_permutation(args) -> Permutation:
 
 def _load_circuit(path: str) -> Circuit:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     try:
@@ -138,7 +138,7 @@ def _cmd_synth(args) -> int:
     text = serialize_circuit(circuit)
     if args.output:
         try:
-            Path(args.output).write_text(text)
+            Path(args.output).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise ValueError(f"cannot write {args.output}: {exc}") from None
         print(f"written: {args.output}")
@@ -165,7 +165,7 @@ def _cmd_census(args) -> int:
         try:
             report = census_mod.brute_force_census(args.n)
         except ValueError as exc:
-            print(str(exc), file=sys.stderr)
+            print(f"error: {exc}", file=sys.stderr)
             return EXIT_CENSUS_RANGE
     else:
         report = census_mod.formula_census(args.n)

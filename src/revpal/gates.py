@@ -3,8 +3,9 @@
 A reversible gate flips at most one line per application, so its permutation
 pairs inputs at Hamming distance 1.  This module generates those pairings
 (``hamming_one_transpositions`` and its per-line slices), expands gates into
-the transpositions they swap, and recognizes which transposition sets come
-from a single Toffoli-family gate.
+the transpositions they swap, recognizes which transposition sets come
+from a single Toffoli-family gate, and picks the gate of a given size whose
+pairs lie nearest a set (``nearest_gate``).
 
 Recognition works because of a subcube argument: ``2**(k-1)`` disjoint
 transpositions that all flip the same line and whose endpoints vary in
@@ -22,8 +23,10 @@ other line and ``value`` is ``a & care``.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import combinations
 
 from .circuits import Gate
 from .perm import Permutation, Transposition
@@ -210,6 +213,44 @@ def recognize_mpmct(
     care = ((1 << n) - 1) ^ span
     gate = _mpmct(n, (a ^ b).bit_length(), care, a & care)
     return gate if gate.transpositions() == ts else None
+
+
+def nearest_gate(transpositions: Iterable[Transposition], n: int, free: int) -> MpmctGate:
+    """The gate with ``2**free`` pairs whose moved points lie nearest these pairs.
+
+    Its moved points form a subcube of dimension ``free + 1``: the one,
+    over every choice and polarity of the ``n - free - 1`` controls, that
+    holds the most endpoints.  Its target is the spanned line that the
+    most pairs differ in: a pair matched onto the gate can keep one
+    endpoint, and its other endpoint then moves one bit less when the pair
+    differs in the target.  Ties go to the line along which the most pairs
+    in the subcube lie, then to the lowest line.  A set that is one gate's
+    pairs gives that gate back.
+    """
+    if not 0 <= free <= n - 1:
+        raise ValueError(f"a gate on {n} lines has 0..{n - 1} free lines, got {free}")
+    ts = sorted(transpositions)
+    if not ts:
+        raise ValueError("the nearest gate to an empty transposition set is undefined")
+    endpoints = [v for ab in ts for v in ab]
+    full = (1 << n) - 1
+    best = (-1, 0, 0)
+    for controls in combinations(range(n), n - 1 - free):
+        care = sum(1 << line for line in controls)
+        # The most common corner of the endpoints projected onto the controls.
+        [(value, hits)] = Counter(map(care.__and__, endpoints)).most_common(1)
+        if hits > best[0]:
+            best = (hits, care, value)
+    _, care, value = best
+    span = full ^ care
+    shared = Counter(a ^ b for a, b in ts if a & care == value)
+    crossing = Counter(bit for a, b in ts for bit in _bits(span & (a ^ b)))
+    target = max(_bits(span), key=lambda bit: (crossing[bit], shared[bit], -bit))
+    return _mpmct(n, target.bit_length(), care, value)
+
+
+def _bits(mask: int) -> list[int]:
+    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def enumerate_gates(

@@ -13,6 +13,7 @@ Two conventions are fixed for the whole package:
 
 from __future__ import annotations
 
+import functools
 import re
 from collections.abc import Iterable
 
@@ -186,10 +187,19 @@ def conjugate(sigma: Permutation, p: Permutation) -> Permutation:
 def find_conjugator(p: Permutation, q: Permutation) -> Permutation:
     """A permutation ``sigma`` with ``conjugate(sigma, q) == p``.
 
-    Exists iff the cycle types agree.  Deterministic: both operands are put
-    in canonical cycle form and matched cycle by cycle, element by element,
-    so ``find_conjugator(p, p)`` is the identity.
+    Exists iff the cycle types agree, and ``find_conjugator(p, p)`` is the
+    identity.  For two involutions sigma is a nearest matching: it fixes
+    the pairs and fixpoints the two share and sends the other pairs of
+    ``q`` to pairs of ``p`` by ``match_pairs``.  Each fixpoint of ``q``
+    that p moves then goes back where a step of sigma came from, when that
+    closes a 2-cycle, or else to the nearest free fixpoint of ``p`` in
+    Hamming distance.  Every other cycle type is matched cycle by cycle,
+    element by element, in canonical cycle form.
     """
+    if p.degree == q.degree and p.is_involution() and q.is_involution():
+        p_pairs, q_pairs = p.transpositions(), q.transpositions()
+        if len(p_pairs) == len(q_pairs):
+            return _nearest_conjugator(p, q, p_pairs, q_pairs)
     p_cycles, q_cycles = p.cycles(), q.cycles()
     # Canonical cycles come longest first, so their lengths are the cycle type.
     p_type, q_type = tuple(map(len, p_cycles)), tuple(map(len, q_cycles))
@@ -200,6 +210,77 @@ def find_conjugator(p: Permutation, q: Permutation) -> Permutation:
         for px, qx in zip(pc, qc):
             image[qx] = px
     return Permutation(image)
+
+
+def match_pairs(
+    p_pairs: Iterable[tuple[int, int]], q_pairs: Iterable[tuple[int, int]], lines: int
+) -> list[tuple[int, int, int, int]]:
+    """Send every pair of ``p_pairs`` to its own pair of ``q_pairs``, nearest first.
+
+    Returns ``(a, b, c, d)`` rows, read as sigma(a) = c and sigma(b) = d
+    for the pair ``(a, b)`` of q and ``(c, d)`` of p.  The pairs of p are
+    taken in sorted order, once per Hamming radius r = 0, 1, 2, ...: each
+    takes the free pair of q with an endpoint at distance r from one of its
+    own, in either orientation, the other endpoints nearest.  So a pair the
+    two sets share is kept as it is: at radius 0 it finds itself, at
+    distance 0.  A pair ``(x, x)`` stands for the single point x.  Needs as
+    many pairs in q as in p or more; the pairs of q left over are not
+    returned.
+    """
+    free: dict[int, int] = {}
+    for a, b in q_pairs:
+        free[a], free[b] = b, a
+    rows, todo = [], sorted(p_pairs)
+    for masks in _masks_by_weight(lines):
+        left = []
+        for c, d in todo:
+            ends = ((c, d), (d, c)) if c != d else ((c, d),)
+            near = [((free[x ^ m] ^ y).bit_count(), x ^ m, x, y)
+                    for x, y in ends for m in masks if x ^ m in free]
+            if not near:
+                left.append((c, d))
+                continue
+            _, a, x, y = min(near)
+            b = free.pop(a)
+            free.pop(b, None)
+            rows.append((a, b, x, y))
+        todo = left
+        if not todo:
+            return rows
+    raise ValueError("fewer pairs to match onto than to match")
+
+
+def _nearest_conjugator(p, q, p_pairs, q_pairs) -> Permutation:
+    """``find_conjugator`` for two involutions with as many pairs each."""
+    lines = (p.degree - 1).bit_length()
+    pi, qi = p.image, q.image
+    image = list(range(p.degree))
+    heads = set()
+    for a, b, c, d in match_pairs(p_pairs, q_pairs, lines):
+        image[a], image[b] = c, d
+        # A step h -> x from a fixpoint of p to a fixpoint of q closes into
+        # the 2-cycle (h x), whose second step the flank gets for free.
+        for h, x in ((a, c), (b, d)):
+            if pi[h] == h and qi[x] == x:
+                image[x] = h
+                heads.add(h)
+    # The other fixpoints of q that p moves go to the nearest free
+    # fixpoints of p that q moves, each matched as a pair of one point.
+    points = range(p.degree)
+    p_points = [(y, y) for y in points if pi[y] == y != qi[y] and y not in heads]
+    q_points = [(x, x) for x in points if qi[x] == x == image[x] != pi[x]]
+    for a, _, c, _ in match_pairs(p_points, q_points, lines):
+        image[a] = c
+    return Permutation(image)
+
+
+@functools.lru_cache(maxsize=None)
+def _masks_by_weight(lines: int) -> tuple[tuple[int, ...], ...]:
+    """Every mask on ``lines`` bits, grouped by popcount 0..lines."""
+    groups: list[list[int]] = [[] for _ in range(lines + 1)]
+    for m in range(1 << lines):
+        groups[m.bit_count()].append(m)
+    return tuple(map(tuple, groups))
 
 
 def lines_for_degree(degree: int) -> int:

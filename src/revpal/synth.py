@@ -1,11 +1,14 @@
 """Classify self-inverse functions and build odd palindromic circuits.
 
 An involution whose transposition count is a power of two is conjugate to
-the permutation of a single Toffoli-family gate (both have the same cycle
-type).  It can therefore be realized as a mirror-symmetric cascade of odd
-length: a flank that undoes the conjugator, the gate in the middle, and the
-flank replayed in reverse.  Involutions with any other transposition count
-admit no such circuit on n lines; :mod:`revpal.alternatives` covers them.
+the permutation of every Toffoli-family gate with as many transpositions
+(they share one cycle type).  It can therefore be realized as a
+mirror-symmetric cascade of odd length: a flank that undoes the conjugator,
+the gate in the middle, and the flank replayed in reverse.  The flank pays
+about two gates per bit each point moves, so the middle gate is the one
+nearest the involution and the conjugator a nearest matching.  Involutions
+with any other transposition count admit no such circuit on n lines;
+:mod:`revpal.alternatives` covers them.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate
-from .gates import MpmctGate, recognize_mpmct
+from .gates import nearest_gate
 from .perm import Permutation, find_conjugator, lines_for_degree
 
 NOT_INVOLUTION = "not-involution"
@@ -52,17 +55,6 @@ def classify(p: Permutation) -> Classification:
     if s & (s - 1) == 0:
         return Classification(PALINDROMIC, size=s, k=s.bit_length())
     return Classification(NEEDS_ALTERNATIVE, size=s)
-
-
-def canonical_gate(n: int, k: int) -> MpmctGate:
-    """The fixed representative gate with ``2**(k-1)`` transpositions.
-
-    Target x1, lines x2..xk free, lines x(k+1)..xn positively controlled.
-    Used as the deterministic middle gate of synthesized palindromes.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range 1..{n}")
-    return MpmctGate(n, 1, {line: True for line in range(k + 1, n + 1)})
 
 
 def transposition_chain(a: int, b: int, n: int) -> tuple[Gate, ...]:
@@ -109,11 +101,12 @@ def synthesize_permutation(p: Permutation) -> Circuit:
 def build_palindrome(p: Permutation) -> Circuit:
     """An odd palindromic circuit on n lines computing the involution ``p``.
 
-    Requires ``classify(p).kind == "palindromic"``.  The middle gate is
-    ``p`` itself when it is a single gate, otherwise the canonical gate of
-    its class; the flanks realize the conjugator between the two.  The
-    identity is accepted and returns the empty circuit, which is palindromic
-    but even; the odd-length guarantee covers only non-identity inputs.
+    Requires ``classify(p).kind == "palindromic"``.  The middle gate is the
+    gate of ``p``'s class nearest ``p`` (``nearest_gate``), which is ``p``
+    itself when ``p`` is a single gate; the flanks realize the conjugator
+    ``find_conjugator`` gives between the two.  The identity is accepted
+    and returns the empty circuit, which is palindromic but even; the
+    odd-length guarantee covers only non-identity inputs.
     """
     c = classify(p)
     n = lines_for_degree(p.degree)
@@ -123,9 +116,7 @@ def build_palindrome(p: Permutation) -> Circuit:
         raise ValueError(
             f"no odd palindromic circuit on {n} lines exists for kind {c.kind!r}"
         )
-    middle = recognize_mpmct(p.transpositions(), n)
-    if middle is None:
-        middle = canonical_gate(n, c.k)
+    middle = nearest_gate(p.transpositions(), n, c.k - 1)
     sigma = find_conjugator(p, middle.permutation())
     return _palindrome(sigma, [middle.circuit_gate()], n)
 

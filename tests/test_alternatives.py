@@ -1,16 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from revpal.alternatives import (
     build_ancilla_circuit,
     build_v_circuit,
-    container_gate,
     decompose,
 )
 from revpal.census import iter_involutions
 from revpal.circuits import Circuit, Gate
-from revpal.gates import MpmctGate
+from revpal.gates import MpmctGate, nearest_gate
 from revpal.perm import Permutation, compose
 from revpal.simulate import (
     classical_readout,
@@ -20,6 +21,7 @@ from revpal.simulate import (
     simulate_semiclassical,
     truth_table,
 )
+from revpal.synth import build_palindrome
 
 WORKED = Permutation.from_cycles([(0, 1), (3, 5), (2, 7)], 8)
 
@@ -33,11 +35,13 @@ def random_involution_of_size(rng, degree, size):
 
 class TestDecompose:
     def test_worked_example(self):
+        # (0 1) lies along x1, so the container flips x1; (0 1) is shared,
+        # (2 7) matches (2 3) and (3 5) matches (4 5), one endpoint fixed.
         d = decompose(WORKED)
-        assert d.gate == MpmctGate(3, 3)
+        assert d.gate == MpmctGate(3, 1)
         assert d.k == 2
-        assert sorted(d.inner.transpositions()) == [(1, 5), (2, 6), (3, 7)]
-        assert sorted(d.surplus.transpositions()) == [(0, 4)]
+        assert sorted(d.inner.transpositions()) == [(0, 1), (2, 3), (4, 5)]
+        assert sorted(d.surplus.transpositions()) == [(6, 7)]
 
     def test_invariants_on_worked_example(self):
         d = decompose(WORKED)
@@ -87,18 +91,19 @@ class TestDecompose:
 
 class TestContainerGate:
     def test_worked_shape(self):
-        g = container_gate(3, 2)
-        assert g == MpmctGate(3, 3)
-        assert sorted(g.transpositions()) == [(0, 4), (1, 5), (2, 6), (3, 7)]
+        g = nearest_gate(WORKED.transpositions(), 3, 2)
+        assert g == MpmctGate(3, 1)
+        assert sorted(g.transpositions()) == [(0, 1), (2, 3), (4, 5), (6, 7)]
 
     def test_controlled_variant(self):
-        g = container_gate(4, 2)
-        assert g == MpmctGate(4, 4, {3: True})
+        # On four lines every endpoint has x4 = 0, which the control keeps.
+        g = nearest_gate(WORKED.transpositions(), 4, 2)
+        assert g == MpmctGate(4, 1, {4: False})
         assert len(g.transpositions()) == 4
 
     def test_k_range(self):
         with pytest.raises(ValueError):
-            container_gate(3, 3)
+            nearest_gate(WORKED.transpositions(), 3, 3)
 
 
 class TestAncillaConstruction:
@@ -113,7 +118,7 @@ class TestAncillaConstruction:
     def test_cnot_sits_in_the_middle(self):
         c = build_ancilla_circuit(WORKED)
         middle = c.gates[len(c) // 2]
-        assert middle == Gate("t", 3, {4: True})
+        assert middle == Gate("t", 1, {4: True})
 
     def test_all_sixteen_rows_permute(self):
         c = build_ancilla_circuit(WORKED)
@@ -151,12 +156,13 @@ class TestVConstruction:
         c = build_v_circuit(WORKED)
         vs = [g for g in c.gates if g.kind == "v"]
         assert len(vs) == 2
-        assert all(g == Gate("v", 3, {1: False, 2: False}) for g in vs)
+        # One half-flip per side for the surplus pair (6 7), on the target.
+        assert all(g == Gate("v", 1, {2: True, 3: True}) for g in vs)
 
     def test_middle_is_v_gate_v(self):
         c = build_v_circuit(WORKED)
         mid = len(c) // 2
-        assert c.gates[mid] == Gate("t", 3)
+        assert c.gates[mid] == Gate("t", 1)
         assert c.gates[mid - 1].kind == "v"
         assert c.gates[mid + 1].kind == "v"
 
@@ -222,3 +228,25 @@ class TestSweep420:
                 cv = build_v_circuit(p)
                 assert cv.is_palindromic() and equivalent(cv, p)
         assert count == 420
+
+
+@given(st.data())
+def test_every_builder_output_is_an_odd_verified_palindrome(data):
+    # Any involution on 1..8 lines goes through the builder its size picks;
+    # the chosen middle gate and matching must never break the circuit.
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    size = data.draw(st.integers(min_value=1, max_value=1 << (n - 1)))
+    points = data.draw(st.permutations(list(range(1 << n))))
+    p = Permutation.from_transpositions(
+        zip(points[0 : 2 * size : 2], points[1 : 2 * size : 2]), 1 << n
+    )
+    if size & (size - 1) == 0:
+        circuits = [(build_palindrome(p), equivalent)]
+    else:
+        circuits = [
+            (build_ancilla_circuit(p), equivalent_with_ancilla),
+            (build_v_circuit(p), equivalent),
+        ]
+    for c, check in circuits:
+        assert c.is_palindromic() and len(c) % 2 == 1
+        assert check(c, p)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from math import factorial
 from pathlib import Path
@@ -10,7 +13,8 @@ from revpal.cli import _build_parser, main
 from revpal.perm import parse_permutation
 from revpal.simulate import equivalent, equivalent_with_ancilla
 
-GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 
 WORKED_PERM = "(0 1)(3 5)(2 7)"
 
@@ -68,7 +72,7 @@ class TestSynth:
     def test_vgate_mode(self, capsys):
         code, out = run(capsys, "synth", "--perm", WORKED_PERM, "--mode", "vgate")
         assert code == 0
-        assert "v -x1 -x2 x3" in out
+        assert "v x2 x3 x1" in out
 
     def test_output_reparses_and_reverifies(self, capsys, tmp_path):
         out_file = tmp_path / "worked.rev"
@@ -125,6 +129,35 @@ class TestVerify:
         # "(0 1)" parses, so the exit comes from the missing file.
         assert main(["verify", "--circuit", "/nonexistent.rev", "--perm", "(0 1)"]) == 1
         assert capsys.readouterr().err.startswith("error: cannot read /nonexistent.rev: ")
+
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        # Under LC_ALL=C without UTF-8 mode the locale's encoding is ASCII,
+        # so only an explicit encoding reads the comment below.
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+
+        def revpal(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "revpal.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+
+        utf8 = tmp_path / "utf8.rev"
+        utf8.write_bytes(".lines 2\n# caf\u00e9\nt x1\n".encode("utf-8"))
+        result = revpal("verify", "--circuit", str(utf8), "--perm", "(0 1)(2 3)")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.endswith("equivalent: true\n")
+        latin1 = tmp_path / "latin1.rev"
+        latin1.write_bytes(b".lines 2\n# caf\xe9\nt x1\n")
+        result = revpal("simulate", "--circuit", str(latin1), "--all")
+        assert result.returncode == 1
+        assert result.stderr.startswith(f"error: cannot read {latin1}: ")
+        written = tmp_path / "worked.rev"
+        result = revpal("synth", "--perm", WORKED_PERM, "-o", str(written))
+        assert result.returncode == 0
+        assert (GOLDEN / "synth_worked.txt").read_bytes().endswith(written.read_bytes())
 
     @pytest.mark.parametrize("subcommand", ["verify", "simulate"])
     def test_file_that_is_not_utf8_names_the_path(self, capsys, tmp_path, subcommand):
@@ -192,6 +225,14 @@ class TestCensus:
 
     def test_brute_force_beyond_range_exits_3(self, capsys):
         assert main(["census", "--n", "4", "--brute-force"]) == 3
+
+    @pytest.mark.parametrize("n", ["4", "16"])
+    def test_brute_force_beyond_range_reason_is_an_error_line(self, capsys, n):
+        assert main(["census", "--n", n, "--brute-force"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason = captured.err.splitlines()[0]
+        assert reason == f"error: brute-force census supports 1..3 lines, got {n}"
 
     def test_json_matches_formulas_exactly(self, capsys):
         from revpal.census import formula_census

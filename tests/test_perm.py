@@ -240,6 +240,78 @@ class TestFindConjugator:
         assert find_conjugator(p, q) == find_conjugator(p, q)
 
 
+def canonical_conjugator(p, q):
+    """Canonical cycles matched cycle by cycle, element by element: the rule
+    of ``find_conjugator`` for every pair of operands but two involutions."""
+    image = [0] * p.degree
+    for pc, qc in zip(p.cycles(), q.cycles()):
+        for px, qx in zip(pc, qc):
+            image[qx] = px
+    return Permutation(image)
+
+
+@st.composite
+def involution_pairs(draw):
+    """Two involutions with as many pairs each on 1..8 lines; q keeps a
+    drawn number of p's pairs, so shared pairs and fixpoints occur."""
+    degree = 1 << draw(st.integers(min_value=1, max_value=8))
+    size = draw(st.integers(min_value=0, max_value=degree // 2))
+    points = draw(st.permutations(list(range(degree))))
+    p_pairs = list(zip(points[0 : 2 * size : 2], points[1 : 2 * size : 2]))
+    kept = draw(st.integers(min_value=0, max_value=size))
+    shared = {v for ab in p_pairs[:kept] for v in ab}
+    rest = draw(st.permutations([x for x in points if x not in shared]))
+    fresh = 2 * (size - kept)
+    q_pairs = p_pairs[:kept] + list(zip(rest[0:fresh:2], rest[1:fresh:2]))
+    return (
+        Permutation.from_transpositions(p_pairs, degree),
+        Permutation.from_transpositions(q_pairs, degree),
+    )
+
+
+class TestNearestConjugator:
+    @given(involution_pairs())
+    def test_conjugates_q_onto_p(self, pq):
+        p, q = pq
+        assert conjugate(find_conjugator(p, q), q) == p
+
+    @given(involution_pairs())
+    def test_shared_pairs_and_fixpoints_stay_fixed(self, pq):
+        p, q = pq
+        sigma = find_conjugator(p, q)
+        for a, b in p.transpositions() & q.transpositions():
+            assert sigma(a) == a and sigma(b) == b
+        for x in range(p.degree):
+            if p(x) == x == q(x):
+                assert sigma(x) == x
+
+    @given(involution_pairs())
+    def test_same_operand_gives_identity(self, pq):
+        p, q = pq
+        assert find_conjugator(p, p).is_identity()
+        assert find_conjugator(q, q).is_identity()
+
+    @given(st.data())
+    def test_other_cycle_types_keep_the_canonical_matching(self, data):
+        degree = data.draw(st.integers(min_value=3, max_value=256))
+        p = Permutation(data.draw(st.permutations(list(range(degree)))))
+        if p.is_involution():
+            p = compose(p, Permutation.from_cycles([(0, 1, 2)], degree))
+        if p.is_involution():
+            p = Permutation.from_cycles([(0, 1, 2)], degree)
+        tau = Permutation(data.draw(st.permutations(list(range(degree)))))
+        q = conjugate(tau, p)
+        assert find_conjugator(p, q) == canonical_conjugator(p, q)
+
+    def test_one_differing_pair_moves_four_points(self):
+        # p and q differ in one pair; sigma moves only what it must.
+        p = Permutation.from_transpositions([(0, 1), (2, 3)], 8)
+        q = Permutation.from_transpositions([(0, 1), (6, 7)], 8)
+        sigma = find_conjugator(p, q)
+        assert conjugate(sigma, q) == p
+        assert [x for x in range(8) if sigma(x) != x] == [2, 3, 6, 7]
+
+
 class TestGroupLaws:
     @given(permutation_pairs())
     def test_closure_and_degree(self, pq):

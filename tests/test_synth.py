@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from revpal.circuits import Circuit, Gate
-from revpal.gates import MpmctGate, enumerate_gates
+from revpal.gates import MpmctGate, enumerate_gates, nearest_gate
 from revpal.perm import Permutation, conjugate
 from revpal.simulate import truth_table
 from revpal.synth import (
@@ -14,7 +14,6 @@ from revpal.synth import (
     NOT_INVOLUTION,
     PALINDROMIC,
     build_palindrome,
-    canonical_gate,
     classify,
     synthesize_permutation,
     transposition_chain,
@@ -60,20 +59,34 @@ class TestClassify:
             assert c.kind == PALINDROMIC and c.k == k
 
 
-class TestCanonicalGate:
+class TestMiddleGate:
     def test_shape(self):
-        g = canonical_gate(3, 2)
-        assert g == MpmctGate(3, 1, {3: True})
-        assert g.free_lines() == (2,)
+        # A set that is one gate's pairs is nearest to that gate itself.
+        for g in enumerate_gates(3):
+            free = 3 - 1 - g.num_controls
+            assert nearest_gate(g.transpositions(), 3, free) == g
 
     def test_transposition_count(self):
+        rng = random.Random(23)
         for n in (2, 3, 4):
             for k in range(1, n + 1):
-                assert len(canonical_gate(n, k).transpositions()) == 1 << (k - 1)
+                p = _seeded_involution(rng, n, 1 << (k - 1))
+                g = nearest_gate(p.transpositions(), n, k - 1)
+                assert len(g.transpositions()) == 1 << (k - 1)
+                assert g.lines == n
 
     def test_range(self):
+        pairs = [(0, 1)]
         with pytest.raises(ValueError):
-            canonical_gate(3, 4)
+            nearest_gate(pairs, 3, 3)
+        with pytest.raises(ValueError):
+            nearest_gate(pairs, 3, -1)
+
+    def test_subcube_holding_most_endpoints(self):
+        # Three of the four endpoints have x3 = 1, and both pairs differ
+        # in x2, not in x1.
+        g = nearest_gate([(5, 7), (0, 6)], 3, 1)
+        assert g == MpmctGate(3, 2, {3: True})
 
 
 class TestTranspositionChain:
@@ -263,10 +276,11 @@ def _seeded_involution(rng, n, s):
     return Permutation.from_transpositions(pairs, 1 << n)
 
 
-# sha256 of every builder output below, captured before the three builders
-# shared one palindrome assembly.  A change to the gates any builder emits
-# (flank order, middle gate, surplus blocks) must update it on purpose.
-BUILDER_BYTES_SHA256 = "521d80ce3171edc3bbde7d22bbba666dd3bf81f5d0b5dd95f2e66020c375d518"
+# sha256 of every builder output below, captured when the middle gate became
+# ``nearest_gate`` and the conjugator a nearest matching.  A change to the
+# gates any builder emits (flank order, middle gate, surplus blocks) must
+# update it on purpose.
+BUILDER_BYTES_SHA256 = "edb7ceb408c29e012cc1b1407cf5dc268e213c1e9b03fd6d0d85c25b0d68d311"
 
 
 def test_builder_bytes_are_pinned_for_four_to_eight_lines():
