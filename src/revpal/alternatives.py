@@ -78,6 +78,15 @@ def _retarget(gate: MpmctGate, kind: str, target: int) -> Gate:
     return Gate._from_masks(kind, target, gate.care, gate.value)
 
 
+def _surplus_gates(d: TargetDecomposition, kind: str, target: int) -> list[Gate]:
+    """One fully controlled ``kind`` gate on ``target`` per surplus pair."""
+    n = d.gate.lines
+    return [
+        _retarget(transposition_gate(a, b, n), kind, target)
+        for a, b in sorted(d.surplus.transpositions())
+    ]
+
+
 def build_ancilla_circuit(p: Permutation) -> Circuit:
     """A palindromic Toffoli circuit for ``p`` on n+1 lines, one ancilla.
 
@@ -89,10 +98,7 @@ def build_ancilla_circuit(p: Permutation) -> Circuit:
     d = decompose(p)
     n = d.gate.lines
     anc = n + 1
-    compute = [
-        _retarget(transposition_gate(a, b, n), "t", anc)
-        for a, b in sorted(d.surplus.transpositions())
-    ]
+    compute = _surplus_gates(d, "t", anc)
     compute.append(_retarget(d.gate, "t", anc))
     cnot = Gate("t", d.gate.target, {anc: True})
     return _palindrome(d.conjugator, compute + [cnot] + compute[::-1], n + 1, anc)
@@ -109,8 +115,5 @@ def build_v_circuit(p: Permutation) -> Circuit:
     """
     d = decompose(p)
     n = d.gate.lines
-    halves = [
-        _retarget(transposition_gate(a, b, n), "v", d.gate.target)
-        for a, b in sorted(d.surplus.transpositions())
-    ]
+    halves = _surplus_gates(d, "v", d.gate.target)
     return _palindrome(d.conjugator, halves + [d.gate.circuit_gate()] + halves[::-1], n)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 
 GATE_KINDS = ("t", "v", "v+")
 
@@ -73,9 +74,7 @@ class Gate:
 
     @property
     def controls(self) -> Controls:
-        care, value = self.care, self.value
-        lines = range(1, care.bit_length() + 1)
-        return tuple((i, bool(value >> (i - 1) & 1)) for i in lines if care >> (i - 1) & 1)
+        return tuple((i + 1, bool(self.value >> i & 1)) for i in set_bits(self.care))
 
     def fires(self, x: int) -> bool:
         """True iff every control matches its polarity in the word ``x``."""
@@ -86,6 +85,20 @@ class Gate:
 
     def __repr__(self) -> str:
         return f"Gate(kind={self.kind!r}, target={self.target!r}, controls={self.controls!r})"
+
+
+@lru_cache(maxsize=1 << 12)
+def set_bits(mask: int) -> tuple[int, ...]:
+    """The positions ``i`` of the set bits of ``mask``, lowest first; bit ``i`` is line ``i + 1``.
+
+    It takes one step per set bit, however high the highest one is.
+    """
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _masks(pairs) -> tuple[int, int]:
@@ -278,12 +291,9 @@ def serialize_circuit(circuit: Circuit) -> str:
             for line in range(len(positive), g.max_line() + 1):
                 positive.append(f"x{line}")
                 negative.append(f"-x{line}")
-            care, value = g.care, g.value
             tokens = [g.kind]
-            while care:  # the controls' set bits, lowest line first
-                low = care & -care
-                tokens.append((positive if value & low else negative)[low.bit_length()])
-                care ^= low
+            for i in set_bits(g.care):
+                tokens.append((positive if g.value >> i & 1 else negative)[i + 1])
             tokens.append(positive[g.target])
             text = texts[key] = " ".join(tokens)
         out.append(text)

@@ -7,13 +7,14 @@ the transpositions they swap, recognizes which transposition sets come
 from a single Toffoli-family gate, and picks the gate of a given size whose
 pairs lie nearest a set (``nearest_gate``).
 
-Recognition works because of a subcube argument: ``2**(k-1)`` disjoint
-transpositions that all flip the same line and whose endpoints vary in
-exactly k bit positions have ``2**k`` distinct endpoints inside a
-k-dimensional subcube of the same size, so they fill it; the pairing across
-the flipped bit is then forced, and the constant bits outside the subcube
-are exactly the gate's controls.  Varying in fewer or more than k positions,
-or being spread over several target lines, rules a set out.
+Recognition is ``nearest_gate`` on an exact set, and a subcube argument is
+why that gives the gate back: a gate with ``2**(k-1)`` pairs moves exactly
+the ``2**k`` points of a k-dimensional subcube, whose constant bits are its
+controls.  No other subcube of that dimension holds all of those points, so
+the nearest gate has the same controls, and every pair crosses the target,
+so it has the same target too.  A set whose nearest gate swaps other pairs
+is no gate's: its pairs flip several lines, or vary in more than k
+positions.
 
 ``MpmctGate`` is a circuit ``Gate`` plus its line count: it swaps ``value``
 plus each assignment of the free lines with its partner across the target.
@@ -28,7 +29,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
-from .circuits import Gate
+from .circuits import Gate, set_bits
 from .perm import Permutation, Transposition
 
 
@@ -66,10 +67,6 @@ class MpmctGate(Gate, _Swaps):
     @property
     def num_controls(self) -> int:
         return self.care.bit_count()
-
-    def free_lines(self) -> tuple[int, ...]:
-        taken = self.care | 1 << (self.target - 1)
-        return tuple(i for i in range(1, self.lines + 1) if not taken >> (i - 1) & 1)
 
     def __repr__(self) -> str:
         ctrl = ", ".join(("x" if pol else "-x") + str(line) for line, pol in self.controls)
@@ -138,8 +135,7 @@ def line_transpositions(n: int, i: int) -> frozenset[Transposition]:
     """
     if not 1 <= i <= n:
         raise ValueError(f"line x{i} out of range 1..{n}")
-    bit = 1 << (i - 1)
-    return frozenset((a, a | bit) for a in range(1 << n) if not a & bit)
+    return MpmctGate(n, i).transpositions()
 
 
 def hamming_one_transpositions(n: int) -> frozenset[Transposition]:
@@ -195,6 +191,7 @@ def recognize_mpmct(
     Returns None when the set is not realizable by one gate: endpoints on
     several target lines, a non-power-of-two count, or ``2**(k-1)`` pairs
     varying in other than k positions.  The input must be pairwise disjoint.
+    The candidate is ``nearest_gate``, which gives a gate's own pairs back.
     """
     ts = {(min(ab), max(ab)) for ab in transpositions}
     if not ts:
@@ -204,14 +201,9 @@ def recognize_mpmct(
         raise ValueError("transpositions must be pairwise disjoint")
     if any(not 0 <= v < 1 << n for v in endpoints):
         raise ValueError(f"endpoint out of range for {n} lines")
-    # By the subcube argument only the gate on the spanned subcube can swap
-    # 2**(k-1) pairs that vary in k positions; check that it swaps these.
-    span = span_mask(ts)
-    if len(ts) != 1 << (span.bit_count() - 1):
+    if len(ts) & (len(ts) - 1):
         return None
-    a, b = min(ts)
-    care = ((1 << n) - 1) ^ span
-    gate = _mpmct(n, (a ^ b).bit_length(), care, a & care)
+    gate = nearest_gate(ts, n, len(ts).bit_length() - 1)
     return gate if gate.transpositions() == ts else None
 
 
@@ -244,13 +236,9 @@ def nearest_gate(transpositions: Iterable[Transposition], n: int, free: int) -> 
     _, care, value = best
     span = full ^ care
     shared = Counter(a ^ b for a, b in ts if a & care == value)
-    crossing = Counter(bit for a, b in ts for bit in _bits(span & (a ^ b)))
-    target = max(_bits(span), key=lambda bit: (crossing[bit], shared[bit], -bit))
-    return _mpmct(n, target.bit_length(), care, value)
-
-
-def _bits(mask: int) -> list[int]:
-    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    crossing = Counter(i for a, b in ts for i in set_bits(span & (a ^ b)))
+    target = max(set_bits(span), key=lambda i: (crossing[i], shared[1 << i], -i))
+    return _mpmct(n, target + 1, care, value)
 
 
 def enumerate_gates(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import Counter
 from collections.abc import Iterable
 
 #: The most lines run on every input at once, or counted by the census.
@@ -37,7 +38,10 @@ class Permutation:
                 f"degree must be between 1 and {MAX_DEGREE}, got {len(img)}"
             )
         if sorted(img) != list(range(len(img))):
-            raise ValueError(f"not a bijection on 0..{len(img) - 1}: {img!r}")
+            missing = min(set(range(len(img))).difference(img))
+            raise ValueError(
+                f"not a bijection on 0..{len(img) - 1}: {missing} is missing from the image"
+            )
         self._image = img
 
     @classmethod
@@ -204,7 +208,9 @@ def find_conjugator(p: Permutation, q: Permutation) -> Permutation:
     # Canonical cycles come longest first, so their lengths are the cycle type.
     p_type, q_type = tuple(map(len, p_cycles)), tuple(map(len, q_cycles))
     if p_type != q_type:
-        raise ValueError(f"cycle types differ: {p_type} vs {q_type}")
+        # Length -> count, longest first; one length per cycle would run to
+        # thousands of characters.
+        raise ValueError(f"cycle types differ: {dict(Counter(p_type))} vs {dict(Counter(q_type))}")
     image = [0] * p.degree
     for pc, qc in zip(p_cycles, q_cycles):
         for px, qx in zip(pc, qc):

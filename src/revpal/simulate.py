@@ -24,9 +24,7 @@ degree.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .circuits import Circuit
+from .circuits import Circuit, set_bits
 from .perm import MAX_LINES, Permutation
 
 
@@ -102,12 +100,6 @@ def _input_columns(lines: int) -> list[int]:
     return columns
 
 
-@lru_cache(maxsize=1 << 12)
-def _bits(mask: int) -> tuple[int, ...]:
-    """The positions of the set bits of ``mask``, lowest first."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 def _simulate_columns(
     circuit: Circuit, columns: list[int], full: int
 ) -> tuple[list[int], int]:
@@ -127,16 +119,16 @@ def _simulate_columns(
         # The control test x & care == value, lane-wise: the positive
         # controls (value) read 1 and the negative ones (care ^ value) read 0.
         fire = full
-        for i in _bits(gate.value):
+        for i in set_bits(gate.value):
             fire &= hi[i]
         blocked = 0
-        for i in _bits(gate.care ^ gate.value):
+        for i in set_bits(gate.care ^ gate.value):
             blocked |= hi[i]
         fire &= ~blocked
         # Lanes that read a control while its cell is half-turned fail; lo is
         # 0 on every line that no v or v+ has targeted.
         if gate.care & turned:
-            for i in _bits(gate.care & turned):
+            for i in set_bits(gate.care & turned):
                 poisoned |= lo[i]
         t = gate.target - 1
         if gate.kind == "t":

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import time
 
 import pytest
 from hypothesis import given
@@ -110,6 +111,22 @@ class TestGate:
         with pytest.raises(AttributeError):
             g.kind = "v"
         assert pickle.loads(pickle.dumps(g)) == copy.copy(g) == g
+
+    def test_controls_on_lines_past_64(self):
+        g = Gate("t", 1, {200: False, 70: True})
+        assert g.controls == ((70, True), (200, False))
+        assert repr(g) == "Gate(kind='t', target=1, controls=((70, True), (200, False)))"
+        circuit = Circuit(200, [g])
+        text = serialize_circuit(circuit)
+        assert text == ".lines 200\nt x70 -x200 x1\n"
+        assert parse_circuit(text) == circuit
+
+    def test_a_far_line_is_named_quickly(self):
+        # Listing the controls walks the set bits, not every line below them.
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="uses line x1000000 but the circuit has 3"):
+            Circuit(3, [Gate("t", 1, {10**6: True})])
+        assert time.perf_counter() - started < 1
 
     def test_fires_is_the_mask_test(self):
         g = Gate("t", 3, {1: True, 2: False})

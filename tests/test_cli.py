@@ -50,6 +50,12 @@ class TestClassify:
     def test_missing_argument(self, capsys):
         assert main(["classify"]) == 1
 
+    def test_repeated_entry_gives_one_short_error_line(self, capsys):
+        image = [0, *range(1023)]  # 0 twice, 1023 missing
+        assert main(["classify", "--perm", " ".join(map(str, image))]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == "error: not a bijection on 0..1023: 1023 is missing from the image"
+
 
 class TestSynth:
     def test_palindrome_mode_verifies(self, capsys, tmp_path):

@@ -4,6 +4,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from revpal.circuits import Gate
 from revpal.gates import (
@@ -170,7 +172,7 @@ class TestRecognize:
         for g in enumerate_gates(n):
             assert recognize_mpmct(g.transpositions(), n) == g
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_oracle_equivalence(self, n):
         # Accepting exactly the enumerated gates' transposition sets, over
         # every power-of-two-sized subset of every per-line pool.
@@ -190,6 +192,17 @@ class TestRecognize:
                         assert got is None
                 size *= 2
         assert len(seen) == len(gate_sets)
+
+    @given(st.data())
+    def test_any_disjoint_pairs(self, data):
+        # Pairs at any distance and on any lines, against the enumeration.
+        n = data.draw(st.integers(1, 4))
+        points = data.draw(st.permutations(range(1 << n)))
+        size = 1 << data.draw(st.integers(0, n - 1))
+        pairs = [(points[2 * j], points[2 * j + 1]) for j in range(size)]
+        key = frozenset((min(ab), max(ab)) for ab in pairs)
+        gate_sets = {g.transpositions(): g for g in enumerate_gates(n)}
+        assert recognize_mpmct(pairs, n) == gate_sets.get(key)
 
 
 class TestEnumeration:

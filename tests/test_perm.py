@@ -46,6 +46,10 @@ class TestBasics:
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             Permutation([0, 0, 1])
+        # The error names the first missing value, not the whole image.
+        with pytest.raises(ValueError) as err:
+            Permutation([3, 0, 3, 3])
+        assert str(err.value) == "not a bijection on 0..3: 1 is missing from the image"
         with pytest.raises(ValueError):
             Permutation([1, 2, 3])
         with pytest.raises(ValueError):
@@ -217,11 +221,12 @@ class TestFindConjugator:
         assert conjugate(sigma, q) == p
 
     def test_type_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             find_conjugator(
                 Permutation.transposition(4, 0, 1),
                 Permutation.from_cycles([(0, 1, 2)], 4),
             )
+        assert str(err.value) == "cycle types differ: {2: 1, 1: 2} vs {3: 1, 1: 1}"
 
     def test_random_relabelings(self):
         rng = random.Random(31)
