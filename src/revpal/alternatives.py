@@ -18,6 +18,13 @@ conjugated core, and cancel the surplus ones.
 
 from __future__ import annotations
 
+__all__ = [
+    "TargetDecomposition",
+    "build_ancilla_circuit",
+    "build_v_circuit",
+    "decompose",
+]
+
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate

@@ -11,6 +11,23 @@ For three lines there are 8! = 40,320 reversible functions; the value
 
 from __future__ import annotations
 
+__all__ = [
+    "CensusReport",
+    "brute_force_census",
+    "centralizer_order",
+    "count_involutions",
+    "count_mpmct",
+    "count_of_type",
+    "count_palindromic",
+    "count_reversible",
+    "count_single_target",
+    "count_transpositions",
+    "double_factorial",
+    "formula_census",
+    "iter_involutions",
+    "partitions",
+]
+
 import itertools
 import json
 from collections.abc import Iterable, Iterator
@@ -19,15 +36,6 @@ from math import comb, factorial
 
 from .gates import enumerate_gates, enumerate_single_target_gates
 from .perm import MAX_LINES, Permutation
-
-CLASS_NAMES = (
-    "reversible",
-    "self-inverse",
-    "palindromic",
-    "single-target",
-    "mpmct",
-    "transposition",
-)
 
 #: Integer partitions are only ever materialized for small degrees.
 MAX_PARTITION_TOTAL = 16
@@ -145,6 +153,7 @@ def count_transpositions(n: int) -> int:
     return (1 << (n - 1)) * ((1 << n) - 1)
 
 
+#: The six classes of the counting table, in the order reports list them.
 _FORMULAS = {
     "reversible": count_reversible,
     "self-inverse": count_involutions,
@@ -179,7 +188,7 @@ class CensusReport:
 
     def as_text(self) -> str:
         out = [f"n: {self.n}", f"method: {self.method}"]
-        out += [f"{name}: {_decimal_text(self.rows[name])}" for name in CLASS_NAMES]
+        out += [f"{name}: {_decimal_text(self.rows[name])}" for name in _FORMULAS]
         return "\n".join(out) + "\n"
 
     def as_json(self) -> str:
@@ -188,7 +197,7 @@ class CensusReport:
         payload = {
             "n": self.n,
             "method": self.method,
-            "rows": {name: _decimal_text(self.rows[name]) for name in CLASS_NAMES},
+            "rows": {name: _decimal_text(self.rows[name]) for name in _FORMULAS},
         }
         return json.dumps(payload, indent=2) + "\n"
 

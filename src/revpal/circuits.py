@@ -14,6 +14,14 @@ when ``x & care == value``; that is the package's one control test.
 
 from __future__ import annotations
 
+__all__ = [
+    "Circuit",
+    "CircuitParseError",
+    "Gate",
+    "parse_circuit",
+    "serialize_circuit",
+]
+
 import re
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass

@@ -24,6 +24,19 @@ other line and ``value`` is ``a & care``.
 
 from __future__ import annotations
 
+__all__ = [
+    "MpmctGate",
+    "SingleTargetGate",
+    "enumerate_gates",
+    "enumerate_single_target_gates",
+    "hamming_one_transpositions",
+    "line_transpositions",
+    "nearest_gate",
+    "recognize_mpmct",
+    "span_mask",
+    "transposition_gate",
+]
+
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -34,9 +47,15 @@ from .perm import Permutation, Transposition
 
 
 class _Swaps:
-    """The permutation of a gate that swaps the pairs ``transpositions()``."""
+    """A gate on ``lines`` lines that flips ``target`` on the inputs it ``fires`` on."""
 
     __slots__ = ()
+
+    def transpositions(self) -> frozenset[Transposition]:
+        """The pairs ``(x, x | target bit)`` over the inputs ``x`` it fires on."""
+        bit = 1 << (self.target - 1)
+        inputs = range(1 << self.lines)
+        return frozenset((x, x | bit) for x in inputs if not x & bit and self.fires(x))
 
     def permutation(self) -> Permutation:
         return Permutation.from_transpositions(self.transpositions(), 1 << self.lines)
@@ -71,12 +90,6 @@ class MpmctGate(Gate, _Swaps):
     def __repr__(self) -> str:
         ctrl = ", ".join(("x" if pol else "-x") + str(line) for line, pol in self.controls)
         return f"MpmctGate(lines={self.lines}, target=x{self.target}, controls=[{ctrl}])"
-
-    def transpositions(self) -> frozenset[Transposition]:
-        """The pairs ``(x, x | target bit)`` over the inputs ``x`` it fires on."""
-        bit = 1 << (self.target - 1)
-        inputs = range(1 << self.lines)
-        return frozenset((x, x | bit) for x in inputs if not x & bit and self.fires(x))
 
     def circuit_gate(self) -> Gate:
         return Gate._from_masks("t", self.target, self.care, self.value)
@@ -115,16 +128,11 @@ class SingleTargetGate(_Swaps):
     def __repr__(self) -> str:
         return f"SingleTargetGate(lines={self.lines}, target=x{self.target}, table={self.table:#x})"
 
-    def transpositions(self) -> frozenset[Transposition]:
-        """One pair per set table bit: its index with a 0 spliced in at the target."""
-        bit = 1 << (self.target - 1)
-        below = bit - 1
-        pairs = []
-        for j in range(1 << (self.lines - 1)):
-            if self.table >> j & 1:
-                x = (j & below) | (j & ~below) << 1
-                pairs.append((x, x | bit))
-        return frozenset(pairs)
+    def fires(self, x: int) -> bool:
+        """True iff the table bit indexed by ``x`` without its target bit is set."""
+        t = self.target - 1
+        index = (x & ((1 << t) - 1)) | (x >> (t + 1)) << t
+        return bool(self.table >> index & 1)
 
 
 def line_transpositions(n: int, i: int) -> frozenset[Transposition]:

@@ -13,6 +13,18 @@ Two conventions are fixed for the whole package:
 
 from __future__ import annotations
 
+__all__ = [
+    "Permutation",
+    "Transposition",
+    "compose",
+    "conjugate",
+    "cycle_string",
+    "find_conjugator",
+    "lines_for_degree",
+    "one_line",
+    "parse_permutation",
+]
+
 import functools
 import re
 from collections import Counter
@@ -308,19 +320,23 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
     mentioned are fixpoints.  Separators are whitespace or commas.  For
     cycle form the degree defaults to the smallest power of two that
     contains all elements (at least 2); pass ``degree`` to override.
+
+    Errors name the place of the fault, not the text: the 1-based entry
+    of a bad integer, counted across all cycles, or the 1-based column of
+    a cycle form's first stray character.
     """
-    text = text.strip()
     if "(" in text or ")" in text:
-        leftover = _CYCLE_RE.sub("", text)
-        if leftover.strip():
-            raise ValueError(f"malformed cycle notation: {text!r}")
-        cycles = []
+        # Blank out every cycle; the first character left is out of place.
+        stray = re.search(r"\S", _CYCLE_RE.sub(lambda m: " " * len(m[0]), text))
+        if stray:
+            fault = "unclosed '('" if stray[0] == "(" else "text outside the parentheses"
+            raise ValueError(f"malformed cycle notation: {fault} at column {stray.start() + 1}")
+        cycles, elements = [], []
         for body in _CYCLE_RE.findall(text):
-            items = [tok for tok in re.split(r"[\s,]+", body.strip()) if tok]
-            if items:
-                cycles.append([_parse_int(tok, text) for tok in items])
+            items = [tok for tok in re.split(r"[\s,]+", body) if tok]
+            cycles.append([_parse_int(tok, len(elements) + i) for i, tok in enumerate(items, 1)])
+            elements += cycles[-1]
         if degree is None:
-            elements = [x for c in cycles for x in c]
             if not elements:
                 raise ValueError("cannot infer degree from an empty cycle form")
             degree = max(2, _next_power_of_two(max(elements) + 1))
@@ -328,7 +344,7 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
     items = [tok for tok in re.split(r"[\s,]+", text) if tok]
     if not items:
         raise ValueError("empty permutation")
-    image = [_parse_int(tok, text) for tok in items]
+    image = [_parse_int(tok, i) for i, tok in enumerate(items, 1)]
     if degree is not None and degree != len(image):
         raise ValueError(
             f"one-line form has {len(image)} entries but degree {degree} was requested"
@@ -349,11 +365,14 @@ def cycle_string(p: Permutation) -> str:
     return "".join(parts) if parts else "()"
 
 
-def _parse_int(token: str, context: str) -> int:
+def _parse_int(token: str, entry: int) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ValueError(f"bad integer {token!r} in permutation {context!r}") from None
+        # Quote the start of a long token only: a whole one can run to
+        # thousands of characters.
+        shown = repr(token) if len(token) <= 20 else f"{token[:20]!r}... ({len(token)} characters)"
+        raise ValueError(f"bad integer {shown} at entry {entry}") from None
 
 
 def _next_power_of_two(m: int) -> int:

@@ -24,6 +24,16 @@ degree.
 
 from __future__ import annotations
 
+__all__ = [
+    "SimulationError",
+    "classical_readout",
+    "equivalent",
+    "equivalent_with_ancilla",
+    "simulate_classical",
+    "simulate_semiclassical",
+    "truth_table",
+]
+
 from .circuits import Circuit, set_bits
 from .perm import MAX_LINES, Permutation
 

@@ -13,6 +13,14 @@ with any other transposition count admit no such circuit on n lines;
 
 from __future__ import annotations
 
+__all__ = [
+    "Classification",
+    "build_palindrome",
+    "classify",
+    "synthesize_permutation",
+    "transposition_chain",
+]
+
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate

@@ -56,6 +56,21 @@ class TestClassify:
         [line] = capsys.readouterr().err.splitlines()
         assert line == "error: not a bijection on 0..1023: 1023 is missing from the image"
 
+    @pytest.mark.parametrize(
+        "perm",
+        [
+            " ".join(map(str, range(1023))) + " x",  # bad last entry
+            "(0 1)" * 299 + "(2 3",  # the last cycle unclosed
+            "9" * 5000,  # past CPython's int digit limit
+        ],
+        ids=["bad-entry", "unclosed-cycle", "5000-digits"],
+    )
+    def test_long_bad_permutation_gives_one_short_error_line(self, capsys, perm):
+        assert main(["classify", "--perm", perm]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+        assert len(line) < 200
+
 
 class TestSynth:
     def test_palindrome_mode_verifies(self, capsys, tmp_path):

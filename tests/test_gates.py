@@ -263,21 +263,23 @@ class TestSingleTarget:
 
     def test_transpositions_match_the_table(self):
         # Scan every input: pack its non-target bits, lowest line first,
-        # and look the index up in the table.
+        # and look the index up in the table.  The gate fires where that
+        # bit is set, whatever its target bit, and swaps each such input
+        # with its target-flipped partner, as in the MPMCT check above.
         for n in (1, 2, 3):
             for g in enumerate_single_target_gates(n):
                 bit = 1 << (g.target - 1)
-                expected = set()
+                others = [line for line in range(1, n + 1) if line != g.target]
+                fires = []
                 for x in range(1 << n):
-                    if x & bit:
-                        continue
-                    others = [line for line in range(1, n + 1) if line != g.target]
                     index = sum(
                         ((x >> (line - 1)) & 1) << j for j, line in enumerate(others)
                     )
-                    if (g.table >> index) & 1:
-                        expected.add((x, x | bit))
-                assert g.transpositions() == expected
+                    fires.append(bool((g.table >> index) & 1))
+                assert [g.fires(x) for x in range(1 << n)] == fires
+                assert g.transpositions() == {
+                    (x, x | bit) for x in range(1 << n) if not x & bit and fires[x]
+                }
 
     def test_enumeration_count(self):
         for n in (1, 2, 3):

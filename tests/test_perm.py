@@ -383,6 +383,26 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_permutation("()")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1 x 3", "bad integer 'x' at entry 3"),
+            ("(0 1)(2, a)", "bad integer 'a' at entry 4"),
+            (
+                "1 0 " + "7" * 24 + "x",
+                "bad integer '77777777777777777777'... (25 characters) at entry 3",
+            ),
+            (" (0 1", "malformed cycle notation: unclosed '(' at column 2"),
+            ("((0 1))", "malformed cycle notation: unclosed '(' at column 1"),
+            ("(0 1) 2", "malformed cycle notation: text outside the parentheses at column 7"),
+            ("(0 1))", "malformed cycle notation: text outside the parentheses at column 6"),
+        ],
+    )
+    def test_error_names_the_place_not_the_text(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_permutation(text)
+        assert str(err.value) == message
+
     def test_round_trip_text_forms(self):
         p = Permutation([4, 2, 6, 0, 3, 1, 5, 7])
         assert parse_permutation(one_line(p)) == p
