@@ -80,18 +80,11 @@ def decompose(p: Permutation) -> TargetDecomposition:
     return TargetDecomposition(gate, gate_perm, inner, surplus, sigma, k)
 
 
-def _retarget(gate: MpmctGate, kind: str, target: int) -> Gate:
-    """A ``kind`` gate on ``target`` with the controls of ``gate``."""
-    return Gate._from_masks(kind, target, gate.care, gate.value)
-
-
 def _surplus_gates(d: TargetDecomposition, kind: str, target: int) -> list[Gate]:
     """One fully controlled ``kind`` gate on ``target`` per surplus pair."""
     n = d.gate.lines
-    return [
-        _retarget(transposition_gate(a, b, n), kind, target)
-        for a, b in sorted(d.surplus.transpositions())
-    ]
+    swaps = (transposition_gate(a, b, n) for a, b in sorted(d.surplus.transpositions()))
+    return [Gate._from_masks(kind, target, g.care, g.value) for g in swaps]
 
 
 def build_ancilla_circuit(p: Permutation) -> Circuit:
@@ -106,9 +99,9 @@ def build_ancilla_circuit(p: Permutation) -> Circuit:
     n = d.gate.lines
     anc = n + 1
     compute = _surplus_gates(d, "t", anc)
-    compute.append(_retarget(d.gate, "t", anc))
+    compute.append(Gate._from_masks("t", anc, d.gate.care, d.gate.value))
     cnot = Gate("t", d.gate.target, {anc: True})
-    return _palindrome(d.conjugator, compute + [cnot] + compute[::-1], n + 1, anc)
+    return _palindrome(d.conjugator, compute, cnot, n + 1, anc)
 
 
 def build_v_circuit(p: Permutation) -> Circuit:
@@ -121,6 +114,5 @@ def build_v_circuit(p: Permutation) -> Circuit:
     classical output ``p(x)``.
     """
     d = decompose(p)
-    n = d.gate.lines
     halves = _surplus_gates(d, "v", d.gate.target)
-    return _palindrome(d.conjugator, halves + [d.gate.circuit_gate()] + halves[::-1], n)
+    return _palindrome(d.conjugator, halves, d.gate.circuit_gate(), d.gate.lines)

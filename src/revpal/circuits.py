@@ -27,6 +27,8 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .perm import _clip
+
 GATE_KINDS = ("t", "v", "v+")
 
 Controls = tuple[tuple[int, bool], ...]
@@ -211,17 +213,13 @@ def parse_circuit(text: str) -> Circuit:
             continue
         col0, head = tokens[0]
         if head == ".lines":
-            if lines is not None:
-                raise CircuitParseError(lineno, col0, "duplicate .lines directive")
-            lines = _directive_int(tokens, lineno, ".lines")
+            lines = _directive_int(tokens, lineno, ".lines", lines)
             if lines > MAX_CIRCUIT_LINES:
                 raise CircuitParseError(
                     lineno, tokens[1][0], f".lines wants at most {MAX_CIRCUIT_LINES}"
                 )
         elif head == ".ancilla":
-            if ancilla is not None:
-                raise CircuitParseError(lineno, col0, "duplicate .ancilla directive")
-            ancilla = _directive_int(tokens, lineno, ".ancilla")
+            ancilla = _directive_int(tokens, lineno, ".ancilla", ancilla)
             ancilla_at = (lineno, tokens[1][0])
         elif head in GATE_KINDS:
             if lines is None:
@@ -230,28 +228,31 @@ def parse_circuit(text: str) -> Circuit:
             gates.append(gate)
         else:
             raise CircuitParseError(
-                lineno, col0, f"expected a directive or gate kind, got {head!r}"
+                lineno, col0, f"expected a directive or gate kind, got {_clip(head)}"
             )
     if lines is None:
         raise CircuitParseError(1, 1, "missing .lines header")
     if ancilla is not None and ancilla > lines:
         raise CircuitParseError(
-            *ancilla_at, f"ancilla line x{ancilla} out of range 1..{lines}"
+            *ancilla_at, f"ancilla line x{_clip(str(ancilla), str)} out of range 1..{lines}"
         )
     return Circuit(lines, gates, ancilla)
 
 
-def _directive_int(tokens, lineno: int, name: str) -> int:
+def _directive_int(tokens, lineno: int, name: str, current: int | None) -> int:
+    """The value of a ``name`` directive; ``current`` is its value so far, if any."""
+    col0 = tokens[0][0]
+    if current is not None:
+        raise CircuitParseError(lineno, col0, f"duplicate {name} directive")
     if len(tokens) != 2:
-        col = tokens[0][0]
-        raise CircuitParseError(lineno, col, f"{name} takes exactly one integer")
+        raise CircuitParseError(lineno, col0, f"{name} takes exactly one integer")
     col, tok = tokens[1]
     try:
         number = int(tok) if tok.isdecimal() else 0
     except ValueError:  # more digits than int() reads
         number = 0
     if number < 1:
-        raise CircuitParseError(lineno, col, f"{name} wants a positive integer, got {tok!r}")
+        raise CircuitParseError(lineno, col, f"{name} wants a positive integer, got {_clip(tok)}")
     return number
 
 
@@ -263,10 +264,12 @@ def _parse_gate(tokens, lineno: int, lines: int) -> Gate:
     for col, tok in tokens[1:]:
         m = _CONTROL_RE.match(tok)
         if not m:
-            raise CircuitParseError(lineno, col, f"expected x<i> or -x<i>, got {tok!r}")
+            raise CircuitParseError(lineno, col, f"expected x<i> or -x<i>, got {_clip(tok)}")
         digits = m.group(2).lstrip("0") or "0"  # as int() prints it; int() may refuse
         if len(digits) > len(str(lines)) or not 1 <= int(digits) <= lines:
-            raise CircuitParseError(lineno, col, f"line x{digits} out of range 1..{lines}")
+            raise CircuitParseError(
+                lineno, col, f"line x{_clip(digits, str)} out of range 1..{lines}"
+            )
         pairs.append((int(digits), m.group(1) != "-"))
     tcol = tokens[-1][0]
     target, positive = pairs.pop()

@@ -18,14 +18,13 @@ from pathlib import Path
 from . import census as census_mod
 from .alternatives import build_ancilla_circuit, build_v_circuit
 from .circuits import Circuit, CircuitParseError, parse_circuit, serialize_circuit
-from .perm import MAX_LINES, Permutation, cycle_string, lines_for_degree, parse_permutation
+from .perm import MAX_LINES, Permutation, _clip, cycle_string, lines_for_degree, parse_permutation
 from .simulate import (
     SimulationError,
     classical_readout,
     equivalent,
     equivalent_with_ancilla,
     simulate_all,
-    simulate_classical,
     simulate_semiclassical,
 )
 from .synth import (
@@ -52,7 +51,7 @@ class _Parser(argparse.ArgumentParser):
 def _line_count(n: int) -> int:
     """``n`` itself, if it is a line count ``--n`` accepts."""
     if not 1 <= n <= MAX_LINES:
-        raise ValueError(f"--n wants a line count in 1..{MAX_LINES}, got {n}")
+        raise ValueError(f"--n wants a line count in 1..{MAX_LINES}, got {_clip(str(n), str)}")
     return n
 
 
@@ -96,19 +95,23 @@ def _circuit_stats(c: Circuit) -> str:
     return f"{len(c)} gates, {c.parity()}, {flag}"
 
 
-def _cmd_classify(args) -> int:
-    p = _load_permutation(args)
+def _print_header(command: str, p: Permutation, c: Classification) -> None:
+    """The report lines ``classify`` and ``synth`` share."""
     n = lines_for_degree(p.degree)
-    print("command: classify")
+    print(f"command: {command}")
     print(f"permutation: {cycle_string(p)}")
     print(f"lines: {n}")
-    print(f"classification: {classification_text(classify(p), n)}")
+    print(f"classification: {classification_text(c, n)}")
+
+
+def _cmd_classify(args) -> int:
+    p = _load_permutation(args)
+    _print_header("classify", p, classify(p))
     return EXIT_OK
 
 
 def _cmd_synth(args) -> int:
     p = _load_permutation(args)
-    n = lines_for_degree(p.degree)
     c = classify(p)
     mode = args.mode
     if mode == "auto":
@@ -125,10 +128,7 @@ def _cmd_synth(args) -> int:
         ok = equivalent_with_ancilla(circuit, p)
     else:
         ok = equivalent(circuit, p)
-    print("command: synth")
-    print(f"permutation: {cycle_string(p)}")
-    print(f"lines: {n}")
-    print(f"classification: {classification_text(c, n)}")
+    _print_header("synth", p, c)
     print(f"mode: {mode}")
     print(f"circuit: {_circuit_stats(circuit)}")
     print(f"verified: {'true' if ok else 'false'}")
@@ -183,15 +183,16 @@ def _format_bits(value: int, lines: int) -> str:
 
 def _parse_bits(text: str, lines: int) -> int:
     if len(text) != lines or any(ch not in "01" for ch in text):
-        raise ValueError(f"input must be {lines} bits of 0/1 (x1 first), got {text!r}")
+        raise ValueError(f"input must be {lines} bits of 0/1 (x1 first), got {_clip(text)}")
     return sum(int(ch) << i for i, ch in enumerate(text))
 
 
 def _cmd_simulate(args) -> int:
     circuit = _load_circuit(args.circuit)
     # Rows pair an input with its output, or with None where the scalar
-    # simulator must run: for --input, and for the inputs the bit-sliced
-    # run marks as failing, whose exact error it reports.
+    # semi-classical simulator must run: for --input, and for the inputs the
+    # bit-sliced run marks as failing, whose exact error it reports.  On a
+    # Toffoli-only circuit it answers as the classical one does.
     if args.input is not None:
         rows = [(_parse_bits(args.input, circuit.lines), None)]
     elif args.all:
@@ -210,11 +211,7 @@ def _cmd_simulate(args) -> int:
         bits = _format_bits(x, circuit.lines)
         try:
             if out is None:
-                out = (
-                    classical_readout(simulate_semiclassical(circuit, x))
-                    if semi
-                    else simulate_classical(circuit, x)
-                )
+                out = classical_readout(simulate_semiclassical(circuit, x))
             print(f"{bits} -> {_format_bits(out, circuit.lines)}")
         except SimulationError as exc:
             print(f"{bits} -> non-classical")

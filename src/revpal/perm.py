@@ -80,7 +80,8 @@ class Permutation:
             cyc = list(cycle)
             for x in cyc:
                 if not 0 <= x < degree:
-                    raise ValueError(f"cycle element {x} out of range 0..{degree - 1}")
+                    shown = _clip(str(x), str)
+                    raise ValueError(f"cycle element {shown} out of range 0..{degree - 1}")
                 if x in seen:
                     raise ValueError(f"element {x} appears in more than one cycle")
                 seen.add(x)
@@ -322,8 +323,9 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
     contains all elements (at least 2); pass ``degree`` to override.
 
     Errors name the place of the fault, not the text: the 1-based entry
-    of a bad integer, counted across all cycles, or the 1-based column of
-    a cycle form's first stray character.
+    of a bad integer or of a cycle element past every degree, counted
+    across all cycles, or the 1-based column of a cycle form's first
+    stray character.
     """
     if "(" in text or ")" in text:
         # Blank out every cycle; the first character left is out of place.
@@ -339,7 +341,11 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
         if degree is None:
             if not elements:
                 raise ValueError("cannot infer degree from an empty cycle form")
-            degree = max(2, _next_power_of_two(max(elements) + 1))
+            top = max(elements)
+            if top >= MAX_DEGREE:  # named here: the degree it implies can run to pages
+                shown = f"{_clip(str(top), str)} at entry {elements.index(top) + 1}"
+                raise ValueError(f"cycle element {shown} out of range 0..{MAX_DEGREE - 1}")
+            degree = 1 << max(top, 1).bit_length()
         return Permutation.from_cycles(cycles, degree)
     items = [tok for tok in re.split(r"[\s,]+", text) if tok]
     if not items:
@@ -369,11 +375,12 @@ def _parse_int(token: str, entry: int) -> int:
     try:
         return int(token)
     except ValueError:
-        # Quote the start of a long token only: a whole one can run to
-        # thousands of characters.
-        shown = repr(token) if len(token) <= 20 else f"{token[:20]!r}... ({len(token)} characters)"
-        raise ValueError(f"bad integer {shown} at entry {entry}") from None
+        raise ValueError(f"bad integer {_clip(token)} at entry {entry}") from None
 
 
-def _next_power_of_two(m: int) -> int:
-    return 1 if m <= 1 else 1 << (m - 1).bit_length()
+def _clip(token: str, show=repr) -> str:
+    """``show(token)`` for an error line; past 20 characters, its start and length.
+
+    A whole token can run to thousands of characters.
+    """
+    return show(token) if len(token) <= 20 else f"{show(token[:20])}... ({len(token)} characters)"

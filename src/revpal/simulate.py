@@ -45,15 +45,19 @@ class SimulationError(ValueError):
 _KIND_DELTA = {"t": 2, "v": 1, "v+": 3}
 
 
+def _require_toffoli_only(circuit: Circuit) -> None:
+    """Raise unless every gate is a Toffoli, the classical model's one kind."""
+    kind = next((g.kind for g in circuit.gates if g.kind != "t"), None)
+    if kind is not None:
+        raise SimulationError(f"classical simulation cannot run a {kind!r} gate")
+
+
 def simulate_classical(circuit: Circuit, x: int) -> int:
     """Run a Toffoli-only circuit on the input word ``x``, gates left to right."""
     if not 0 <= x < 1 << circuit.lines:
         raise ValueError(f"input {x} out of range for {circuit.lines} lines")
+    _require_toffoli_only(circuit)
     for gate in circuit.gates:
-        if gate.kind != "t":
-            raise SimulationError(
-                f"classical simulation cannot run a {gate.kind!r} gate"
-            )
         if gate.fires(x):
             x ^= 1 << (gate.target - 1)
     return x
@@ -183,11 +187,7 @@ def simulate_all(circuit: Circuit) -> tuple[list[int], int]:
 
 def truth_table(circuit: Circuit) -> Permutation:
     """The permutation a Toffoli-only circuit computes over all inputs."""
-    for gate in circuit.gates:
-        if gate.kind != "t":
-            raise SimulationError(
-                f"classical simulation cannot run a {gate.kind!r} gate"
-            )
+    _require_toffoli_only(circuit)
     outputs, _ = simulate_all(circuit)
     return Permutation(outputs)
 
@@ -206,26 +206,20 @@ def equivalent(circuit: Circuit, p: Permutation) -> bool:
     return not poisoned and tuple(outputs) == p.image
 
 
-def equivalent_with_ancilla(
-    circuit: Circuit, p: Permutation, ancilla: int | None = None
-) -> bool:
+def equivalent_with_ancilla(circuit: Circuit, p: Permutation) -> bool:
     """Equivalence on the data lines for every input with the ancilla at 0.
 
-    The ancilla must also end at 0; inputs with the ancilla at 1 are
-    unconstrained.  Defaults to the circuit's marked ancilla line.
+    The ancilla is the circuit's marked line.  It must also end at 0;
+    inputs with the ancilla at 1 are unconstrained.
     """
-    if ancilla is None:
-        ancilla = circuit.ancilla
-    if ancilla is None:
-        raise ValueError("no ancilla line given or marked on the circuit")
-    if not 1 <= ancilla <= circuit.lines:
-        raise ValueError(f"ancilla line x{ancilla} out of range")
+    if circuit.ancilla is None:
+        raise ValueError("no ancilla line marked on the circuit")
     if 1 << (circuit.lines - 1) != p.degree:
         raise ValueError(
             f"circuit on {circuit.lines} lines with one ancilla cannot match degree {p.degree}"
         )
     # Lanes are the data inputs; the ancilla column enters as all zeros.
-    a = ancilla - 1
+    a = circuit.ancilla - 1
     data = _input_columns(circuit.lines - 1)
     hi, poisoned = _simulate_columns(
         circuit, data[:a] + [0] + data[a:], (1 << p.degree) - 1

@@ -126,12 +126,16 @@ def build_palindrome(p: Permutation) -> Circuit:
         )
     middle = nearest_gate(p.transpositions(), n, c.k - 1)
     sigma = find_conjugator(p, middle.permutation())
-    return _palindrome(sigma, [middle.circuit_gate()], n)
+    return _palindrome(sigma, [], middle.circuit_gate(), n)
 
 
-def _palindrome(sigma: Permutation, middle: list[Gate], lines: int, ancilla=None) -> Circuit:
-    """``sigma``'s flank mirrored around ``middle``; all three builders end here."""
-    flank = synthesize_permutation(sigma).gates
+def _palindrome(sigma, half, centre, lines, ancilla=None) -> Circuit:
+    """``sigma``'s flank, then ``half``, mirrored around ``centre``.
+
+    All three builders end here, so every circuit they return is a
+    palindrome by construction.
+    """
     # Gates run left to right, so the mirror of the sigma-flank comes first:
-    # the cascade computes sigma . middle . sigma^-1.
-    return Circuit(lines, flank[::-1] + tuple(middle) + flank, ancilla)
+    # the cascade computes sigma . (half, centre, half mirrored) . sigma^-1.
+    left = synthesize_permutation(sigma).gates[::-1] + tuple(half)
+    return Circuit(lines, left + (centre,) + left[::-1], ancilla)

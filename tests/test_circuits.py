@@ -293,7 +293,11 @@ class TestParse:
             ),
             ("t x1 x4 x2", 6, "line x4 out of range 1..3"),
             ("t x004 x2", 3, "line x4 out of range 1..3"),
-            ("t x1 x" + "9" * 5000, 6, f"line x{'9' * 5000} out of range 1..3"),
+            (
+                "t x1 x" + "9" * 5000,
+                6,
+                f"line x{'9' * 20}... (5000 characters) out of range 1..3",
+            ),
             ("t x2 -x3", 6, "the target (last token) cannot be negated"),
         ],
     )

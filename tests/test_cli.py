@@ -57,16 +57,26 @@ class TestClassify:
         assert line == "error: not a bijection on 0..1023: 1023 is missing from the image"
 
     @pytest.mark.parametrize(
-        "perm",
+        "argv",
         [
-            " ".join(map(str, range(1023))) + " x",  # bad last entry
-            "(0 1)" * 299 + "(2 3",  # the last cycle unclosed
-            "9" * 5000,  # past CPython's int digit limit
+            ["--perm", " ".join(map(str, range(1023))) + " x"],  # bad last entry
+            ["--perm", "(0 1)" * 299 + "(2 3"],  # the last cycle unclosed
+            ["--perm", "9" * 5000],  # past CPython's int digit limit
+            ["--perm", f"(0 {'9' * 4000})"],  # past every degree
+            ["--perm", f"(0 {'9' * 4000})", "--n", "3"],
+            ["--perm", "(0 1)", "--n", "9" * 4000],
         ],
-        ids=["bad-entry", "unclosed-cycle", "5000-digits"],
+        ids=[
+            "bad-entry",
+            "unclosed-cycle",
+            "5000-digits",
+            "4000-digit-element",
+            "4000-digit-element-n3",
+            "4000-digit-n",
+        ],
     )
-    def test_long_bad_permutation_gives_one_short_error_line(self, capsys, perm):
-        assert main(["classify", "--perm", perm]) == 1
+    def test_long_bad_permutation_gives_one_short_error_line(self, capsys, argv):
+        assert main(["classify", *argv]) == 1
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ")
         assert len(line) < 200
@@ -319,6 +329,18 @@ class TestSimulate:
         assert code == 0
         assert "mode: semiclassical" in out
         assert "0 -> 0" in out and "1 -> 1" in out
+        # On a Toffoli-only circuit both models give the same rows; only
+        # the mode line tells the runs apart.
+        f = tmp_path / "or.rev"
+        f.write_text(OR_CIRCUIT_TEXT)
+        for selection in (["--all"], ["--input", "100"]):
+            argv = ["simulate", "--circuit", str(f), *selection]
+            code, classical = run(capsys, *argv)
+            assert code == 0
+            code, semi = run(capsys, *argv, "--semiclassical")
+            assert code == 0
+            assert classical.replace("mode: classical", "mode: semiclassical") == semi
+            assert "mode: classical" in classical
 
     def test_nonclassical_readout_exits_4(self, capsys, tmp_path):
         f = tmp_path / "v.rev"
@@ -350,6 +372,34 @@ class TestSimulate:
         code, out = run(capsys, "simulate", "--circuit", str(f), "--input", bits)
         assert code == 0
         assert out.endswith(" -> 1" + "0" * 68 + "1\n")
+
+
+class TestLongInputs:
+    """Long user text in a circuit file or ``--input`` gets one short error line."""
+
+    @pytest.mark.parametrize(
+        "text, selection",
+        [
+            (".lines 3\nt x1 x" + "9" * 5000 + "\n", None),  # a far line
+            (".lines 3\nt x1 y" + "z" * 5000 + "\n", None),  # a bad line token
+            (".lines " + "q" * 5000 + "\n", None),  # a bad line count
+            ("k" * 5000 + "\n", None),  # a bad first token
+            (".lines 3\n.ancilla " + "9" * 4000 + "\n", None),  # a far ancilla
+            (OR_CIRCUIT_TEXT, "0" * 5000),  # a long --input
+        ],
+        ids=["line", "token", "lines", "head", "ancilla", "input"],
+    )
+    def test_one_short_error_line(self, capsys, tmp_path, text, selection):
+        f = tmp_path / "long.rev"
+        f.write_text(text)
+        if selection is None:
+            argv = ["verify", "--circuit", str(f), "--perm", "(0 1)"]
+        else:
+            argv = ["simulate", "--circuit", str(f), "--input", selection]
+        assert main(argv) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+        assert len(line) < 200
 
 
 class TestGoldenTranscripts:

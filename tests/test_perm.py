@@ -365,6 +365,8 @@ class TestParsing:
         assert parse_permutation("(0 2)").degree == 4
         assert parse_permutation("(0 1)").degree == 2
         assert parse_permutation("(0 8)").degree == 16
+        assert parse_permutation("(0 3)").degree == 4
+        assert parse_permutation("(0 65535)").degree == 65536
 
     def test_degree_override(self):
         assert parse_permutation("(0 1)", degree=8).degree == 8
@@ -396,6 +398,12 @@ class TestParsing:
             ("((0 1))", "malformed cycle notation: unclosed '(' at column 1"),
             ("(0 1) 2", "malformed cycle notation: text outside the parentheses at column 7"),
             ("(0 1))", "malformed cycle notation: text outside the parentheses at column 6"),
+            ("(0 1)(2 65536)", "cycle element 65536 at entry 4 out of range 0..65535"),
+            (
+                f"(0 {'9' * 25})",
+                "cycle element 99999999999999999999... (25 characters) at entry 2 "
+                "out of range 0..65535",
+            ),
         ],
     )
     def test_error_names_the_place_not_the_text(self, text, message):

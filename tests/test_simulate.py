@@ -200,10 +200,10 @@ class TestEquivalence:
         swap = Permutation([0, 2, 1, 3])
         assert equivalent_with_ancilla(c, swap)
 
-    def test_ancilla_requires_marker_or_argument(self):
+    def test_ancilla_requires_a_marker(self):
         with pytest.raises(ValueError):
             equivalent_with_ancilla(Circuit(3), Permutation.identity(4))
-        assert equivalent_with_ancilla(Circuit(3), Permutation.identity(4), ancilla=3)
+        assert equivalent_with_ancilla(Circuit(3, ancilla=3), Permutation.identity(4))
 
     def test_dirty_ancilla_inputs_are_unconstrained(self):
         # Acts as the identity whenever the ancilla is clean, but scrambles
