@@ -47,7 +47,9 @@ def normalize_controls(controls) -> Controls:
     pairs.sort()
     lines = [line for line, _ in pairs]
     if len(set(lines)) != len(lines):
-        raise ValueError(f"duplicate control line in {pairs!r}")
+        # Sorted, so the lowest repeated line is the first to come twice in a row.
+        line = next(a for a, b in zip(lines, lines[1:]) if a == b)
+        raise ValueError(f"duplicate control line x{_clip(str(line), str)}")
     return tuple(pairs)
 
 

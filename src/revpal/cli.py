@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 import time
 from pathlib import Path
@@ -43,8 +44,17 @@ EXIT_CENSUS_RANGE = 3
 EXIT_NONCLASSICAL = 4
 
 
+#: The most characters of an argparse message an error line shows.
+_MAX_MESSAGE = 150
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        # argparse quotes a rejected argument whole, and lists every
+        # unrecognized one; either can run to pages.
+        message = re.sub(r"[^\s'\"]{21,}", lambda m: _clip(m[0], str), message)
+        if len(message) > _MAX_MESSAGE:
+            message = f"{message[:_MAX_MESSAGE]}... ({len(message)} characters)"
         raise ValueError(message)
 
 

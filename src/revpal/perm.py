@@ -26,9 +26,11 @@ __all__ = [
 ]
 
 import functools
+import operator
 import re
 from collections import Counter
 from collections.abc import Iterable
+from itertools import compress
 
 #: The most lines run on every input at once, or counted by the census.
 MAX_LINES = 16
@@ -39,9 +41,13 @@ Transposition = tuple[int, int]
 
 
 class Permutation:
-    """A bijection on {0, ..., N-1} in one-line form: ``image[x]`` is p(x)."""
+    """A bijection on {0, ..., N-1} in one-line form: ``image[x]`` is p(x).
 
-    __slots__ = ("_image",)
+    A permutation never changes, so its pair set (None when it is no
+    involution) is derived once, on first use, and kept.
+    """
+
+    __slots__ = ("_image", "_pairs")
 
     def __init__(self, image: Iterable[int]):
         img = tuple(image)
@@ -55,6 +61,13 @@ class Permutation:
                 f"not a bijection on 0..{len(img) - 1}: {missing} is missing from the image"
             )
         self._image = img
+
+    @classmethod
+    def _bijection(cls, image: Iterable[int]) -> "Permutation":
+        """A permutation of ``image``, which its caller has built as a bijection."""
+        p = object.__new__(cls)
+        p._image = tuple(image)
+        return p
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -87,7 +100,7 @@ class Permutation:
                 seen.add(x)
             for i, x in enumerate(cyc):
                 image[x] = cyc[(i + 1) % len(cyc)]
-        return cls(image)
+        return cls._bijection(image)
 
     @classmethod
     def from_transpositions(
@@ -126,7 +139,7 @@ class Permutation:
         inv = [0] * self.degree
         for x, y in enumerate(self._image):
             inv[y] = x
-        return Permutation(inv)
+        return Permutation._bijection(inv)
 
     def is_identity(self) -> bool:
         return all(y == x for x, y in enumerate(self._image))
@@ -161,16 +174,29 @@ class Permutation:
         """Number of cycles, fixpoints included."""
         return len(self.cycles())
 
+    def _involution_pairs(self) -> frozenset[Transposition] | None:
+        """The 2-cycles if ``self`` is an involution, else None; derived once."""
+        try:
+            return self._pairs
+        except AttributeError:
+            pass
+        img = self._image
+        points = range(len(img))
+        pairs = None
+        if all(map(operator.eq, map(img.__getitem__, img), points)):
+            pairs = frozenset(compress(zip(points, img), map(operator.lt, points, img)))
+        self._pairs = pairs
+        return pairs
+
     def is_involution(self) -> bool:
-        return all(self._image[y] == x for x, y in enumerate(self._image))
+        return self._involution_pairs() is not None
 
     def transpositions(self) -> frozenset[Transposition]:
         """The 2-cycles of an involution, as canonical ``(a, b)`` pairs with a < b."""
-        if not self.is_involution():
+        pairs = self._involution_pairs()
+        if pairs is None:
             raise ValueError("transpositions() requires an involution")
-        return frozenset(
-            (x, y) for x, y in enumerate(self._image) if x < y
-        )
+        return pairs
 
     def size(self) -> int:
         """Number of transpositions of an involution."""
@@ -181,9 +207,7 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     """The permutation applying ``q`` first, then ``p``."""
     if p.degree != q.degree:
         raise ValueError(f"degree mismatch: {p.degree} vs {q.degree}")
-    qi = q.image
-    pi = p.image
-    return Permutation(pi[qi[x]] for x in range(p.degree))
+    return Permutation._bijection(map(p.image.__getitem__, q.image))
 
 
 def conjugate(sigma: Permutation, p: Permutation) -> Permutation:
@@ -198,7 +222,7 @@ def conjugate(sigma: Permutation, p: Permutation) -> Permutation:
     image = [0] * p.degree
     for x, y in enumerate(p.image):
         image[si[x]] = si[y]
-    return Permutation(image)
+    return Permutation._bijection(image)
 
 
 def find_conjugator(p: Permutation, q: Permutation) -> Permutation:

@@ -14,12 +14,24 @@ Two models:
 ``simulate_classical`` and ``simulate_semiclassical`` run one input at a
 time; they are the reference oracles.  ``truth_table``, ``equivalent``,
 ``equivalent_with_ancilla`` and ``simulate_all`` run every input at once,
-bit-sliced (Biham, FSE 1997): line ``x_i`` is held as one 2**n-bit integer
-whose bit ``x`` is that line's value on input ``x``, so one big-integer
-operation applies a gate to every input.  A cell mod 4 is two such planes,
-``hi`` (the classical bit) and ``lo`` (the half turn).  Running every
-input is limited to ``MAX_LINES`` = 16 lines, the largest permutation
-degree.
+by one of two evaluators, chosen per circuit:
+
+* lane swaps, for Toffoli-only circuits whose gates are mostly fully
+  controlled, like every circuit the builders emit: a table holds the
+  input (lane) in each state, and a Toffoli with f free lines besides its
+  target swaps 2**f pairs of entries.  A palindrome runs only its right
+  half and its centre, since its left half computes the right half's
+  inverse.
+* bit-sliced (Biham, FSE 1997), for every other circuit: line ``x_i`` is
+  held as one 2**n-bit integer whose bit ``x`` is that line's value on
+  input ``x``, so one big-integer operation per control applies a gate to
+  every input.  A cell mod 4 is two such planes, ``hi`` (the classical
+  bit) and ``lo`` (the half turn).
+
+Each gate's swaps are counted before they are made; a ``v`` or ``v+``
+gate, or more than about two swaps per gate, hands the circuit to the
+bit-sliced evaluator.  Running every input is limited to ``MAX_LINES`` =
+16 lines, the largest permutation degree.
 """
 
 from __future__ import annotations
@@ -168,6 +180,76 @@ def _words(columns: list[int], width: int) -> list[int]:
     return words
 
 
+#: Lane swaps the lane evaluator may spend per gate run; past them, the
+#: bit-sliced evaluator is the cheaper.
+_SWAPS_PER_GATE = 2
+
+
+def _inverse_table(circuit: Circuit) -> list[int] | None:
+    """``inv`` with ``inv[y] == x`` for every input x the circuit sends to y.
+
+    None when the circuit needs the bit-sliced evaluator.  A Toffoli is its
+    own inverse, so a palindrome computes L^-1 . c . L for its left half L
+    and centre c (none when the length is even), and its right half L^-1.
+    """
+    states = 1 << circuit.lines
+    gates = circuit.gates
+    half = len(gates) // 2
+    if not half or not circuit.is_palindromic():
+        return _swap_lanes(gates, states, 0)
+    # Run on its own, the right half leaves input x in state L(x).  A
+    # palindrome's centre, and the first gate of the ancilla construction's
+    # right half, may swap half of the states, so these runs may overdraw
+    # by that much.
+    right = _swap_lanes(gates[-half:], states, states // 2)
+    if right is None:
+        return None
+    centre = _swap_lanes(gates[half:-half], states, states // 2)
+    if centre is None:
+        return None
+    left_inverse = sorted(range(states), key=right.__getitem__)
+    # L^-1 . c . L is its own inverse, so its table is its inverse table.
+    return list(map(left_inverse.__getitem__, map(centre.__getitem__, right)))
+
+
+def _swap_lanes(gates, states: int, allowance: int) -> list[int] | None:
+    """The inverse table of ``gates`` run in order on ``states`` states.
+
+    A Toffoli swaps the lanes of each state it fires on whose target bit
+    is 0 with its partner across the target.  None at a ``v`` or ``v+``
+    gate, or once the swaps exceed ``_SWAPS_PER_GATE`` per gate plus
+    ``allowance``, counted before they are made.
+    """
+    full = states - 1
+    inv = list(range(states))
+    budget = allowance
+    for g in gates:
+        if g.kind != "t":
+            return None
+        bit = 1 << (g.target - 1)
+        free = full ^ g.care ^ bit
+        budget += _SWAPS_PER_GATE - (1 << free.bit_count())
+        if budget < 0:
+            return None
+        value, sub = g.value, 0
+        while True:  # sub walks every subset of free, starting and ending at 0
+            x = value | sub
+            y = x | bit
+            inv[x], inv[y] = inv[y], inv[x]
+            sub = (sub - free) & free
+            if not sub:
+                break
+    return inv
+
+
+def _simulate_all_bitsliced(circuit: Circuit) -> tuple[list[int], int]:
+    """``simulate_all`` by the bit-sliced evaluator, for any circuit."""
+    width = 1 << circuit.lines
+    columns = _input_columns(circuit.lines)
+    hi, poisoned = _simulate_columns(circuit, columns, (1 << width) - 1)
+    return _words(hi, width), poisoned
+
+
 def simulate_all(circuit: Circuit) -> tuple[list[int], int]:
     """Outputs for every input word, in the semi-classical model.
 
@@ -179,10 +261,11 @@ def simulate_all(circuit: Circuit) -> tuple[list[int], int]:
             f"cannot run all inputs of a circuit on {circuit.lines} lines "
             f"(at most {MAX_LINES})"
         )
-    width = 1 << circuit.lines
-    columns = _input_columns(circuit.lines)
-    hi, poisoned = _simulate_columns(circuit, columns, (1 << width) - 1)
-    return _words(hi, width), poisoned
+    inv = _inverse_table(circuit)
+    if inv is None:
+        return _simulate_all_bitsliced(circuit)
+    # Output x is the state whose entry is x: sort the states by entry.
+    return sorted(range(len(inv)), key=inv.__getitem__), 0
 
 
 def truth_table(circuit: Circuit) -> Permutation:
@@ -202,8 +285,12 @@ def equivalent(circuit: Circuit, p: Permutation) -> bool:
         raise ValueError(
             f"circuit on {circuit.lines} lines cannot match degree {p.degree}"
         )
-    outputs, poisoned = simulate_all(circuit)
-    return not poisoned and tuple(outputs) == p.image
+    inv = _inverse_table(circuit)
+    if inv is None:
+        outputs, poisoned = _simulate_all_bitsliced(circuit)
+        return not poisoned and tuple(outputs) == p.image
+    # The input in state y must be one that p sends to y.
+    return list(map(p.image.__getitem__, inv)) == list(range(p.degree))
 
 
 def equivalent_with_ancilla(circuit: Circuit, p: Permutation) -> bool:
@@ -218,8 +305,14 @@ def equivalent_with_ancilla(circuit: Circuit, p: Permutation) -> bool:
         raise ValueError(
             f"circuit on {circuit.lines} lines with one ancilla cannot match degree {p.degree}"
         )
-    # Lanes are the data inputs; the ancilla column enters as all zeros.
     a = circuit.ancilla - 1
+    inv = _inverse_table(circuit)
+    if inv is not None:
+        # clean[d] is data word d with the ancilla at 0; the input
+        # clean[d] must end in state clean[p(d)].
+        clean = [x for x in range(2 * p.degree) if not x >> a & 1]
+        return list(map(inv.__getitem__, map(clean.__getitem__, p.image))) == clean
+    # Lanes are the data inputs; the ancilla column enters as all zeros.
     data = _input_columns(circuit.lines - 1)
     hi, poisoned = _simulate_columns(
         circuit, data[:a] + [0] + data[a:], (1 << p.degree) - 1

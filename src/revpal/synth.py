@@ -97,13 +97,18 @@ def synthesize_permutation(p: Permutation) -> Circuit:
     attempt at minimality.
     """
     n = lines_for_degree(p.degree)
+    return Circuit(n, _chain_gates(p, n))
+
+
+def _chain_gates(p: Permutation, n: int) -> list[Gate]:
+    """``synthesize_permutation``'s gates, each valid on ``n`` lines."""
     gates: list[Gate] = []
     for cycle in p.cycles():
         # (i1 .. im) = t(i1 i2) . t(i2 i3) . ... applied right to left, so
         # the circuit emits the chains in reverse factor order.
         for j in range(len(cycle) - 1, 0, -1):
             gates.extend(transposition_chain(cycle[j - 1], cycle[j], n))
-    return Circuit(n, gates)
+    return gates
 
 
 def build_palindrome(p: Permutation) -> Circuit:
@@ -133,9 +138,10 @@ def _palindrome(sigma, half, centre, lines, ancilla=None) -> Circuit:
     """``sigma``'s flank, then ``half``, mirrored around ``centre``.
 
     All three builders end here, so every circuit they return is a
-    palindrome by construction.
+    palindrome by construction.  It is validated once, as a whole: the
+    flank comes as a gate list, not as a circuit of its own.
     """
     # Gates run left to right, so the mirror of the sigma-flank comes first:
     # the cascade computes sigma . (half, centre, half mirrored) . sigma^-1.
-    left = synthesize_permutation(sigma).gates[::-1] + tuple(half)
-    return Circuit(lines, left + (centre,) + left[::-1], ancilla)
+    left = _chain_gates(sigma, lines_for_degree(sigma.degree))[::-1] + list(half)
+    return Circuit(lines, left + [centre] + left[::-1], ancilla)

@@ -81,6 +81,26 @@ class TestClassify:
         assert line.startswith("error: ")
         assert len(line) < 200
 
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (["census", "--n", "9" * 5000], "argument --n: invalid int value: '9999"),
+            (
+                ["synth", "--perm", "(0 1)", "--mode", "9" * 5000],
+                "argument --mode: invalid choice: '9999",
+            ),
+            (["census", "--n", "3", *map(str, range(3000))], "unrecognized arguments: 0 1 2"),
+        ],
+        ids=["5000-digit-n", "5000-digit-mode", "3000-extra-arguments"],
+    )
+    def test_argparse_errors_give_one_short_error_line(self, capsys, argv, shown):
+        # argparse would echo all of the rejected text: 5,000 characters and more.
+        assert main(argv) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {shown}")
+        assert "characters)" in line
+        assert len(line) < 200
+
 
 class TestSynth:
     def test_palindrome_mode_verifies(self, capsys, tmp_path):

@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from revpal.circuits import Circuit, Gate, serialize_circuit
@@ -18,10 +18,12 @@ from revpal.simulate import (
     equivalent,
     equivalent_with_ancilla,
     is_classical,
+    simulate_all,
     simulate_classical,
     simulate_semiclassical,
     truth_table,
 )
+from revpal.simulate import _inverse_table, _simulate_all_bitsliced
 from revpal.synth import build_palindrome
 
 # Update x3 with x1 or x2: fully negative-controlled flip, then plain flip.
@@ -353,6 +355,127 @@ class TestAgainstOracles:
             for p in candidate_perms(data_out):
                 expected = all(y == p(x) for x, y in enumerate(data_out))
                 assert equivalent_with_ancilla(circuit, p) == expected
+
+
+# Differential tests of the lane-swap evaluator: against the per-input
+# oracle and against the bit-sliced evaluator on the same circuit.
+
+
+@st.composite
+def toffoli_circuits(draw, max_lines=6):
+    """Toffoli-only circuits, sparse to dense, half of them palindromes.
+
+    Each gate makes every other line a control with one drawn probability:
+    1 gives the fully controlled gates of a flank, which run by lane swaps,
+    and 0.2 gives gates with several free lines, whose swaps run past the
+    budget.  A palindrome mirrors its gates around an optional centre,
+    partly as the same objects and partly as equal copies.  Some draws
+    mark an ancilla line.
+    """
+    lines = draw(st.integers(1, max_lines))
+    density = draw(st.sampled_from((1.0, 0.8, 0.5, 0.2)))
+
+    def gate():
+        target = draw(st.integers(1, lines))
+        controls = {
+            line: draw(st.booleans())
+            for line in range(1, lines + 1)
+            if line != target and draw(st.floats(0, 1)) < density
+        }
+        return Gate("t", target, controls)
+
+    gates = [gate() for _ in range(draw(st.integers(0, 24)))]
+    if draw(st.booleans()):
+        centre = [gate()] if draw(st.booleans()) else []
+        mirror = [Gate(g.kind, g.target, g.controls) if draw(st.booleans()) else g
+                  for g in reversed(gates)]
+        gates += centre + mirror
+    ancilla = draw(st.none() | st.integers(1, lines)) if lines > 1 else None
+    return Circuit(lines, gates, ancilla)
+
+
+def with_ancilla_oracle(circuit, p):
+    """``equivalent_with_ancilla`` spelled out with ``simulate_classical``."""
+    a = circuit.ancilla - 1
+    low = (1 << a) - 1
+
+    def widen(x):
+        return (x & ~low) << 1 | (x & low)
+
+    return all(simulate_classical(circuit, widen(x)) == widen(p(x)) for x in range(p.degree))
+
+
+class TestLaneSwaps:
+    @given(toffoli_circuits())
+    def test_inverse_table_matches_both_oracles(self, circuit):
+        inputs = range(1 << circuit.lines)
+        expected = [simulate_classical(circuit, x) for x in inputs]
+        bitsliced, poisoned = _simulate_all_bitsliced(circuit)
+        assert (bitsliced, poisoned) == (expected, 0)
+        inv = _inverse_table(circuit)
+        if inv is not None:
+            assert [inv[y] for y in expected] == list(inputs)
+        assert simulate_all(circuit) == (expected, 0)
+        assert truth_table(circuit) == Permutation(expected)
+
+    @given(toffoli_circuits())
+    def test_equivalence_matches_the_oracle(self, circuit):
+        table = truth_table(circuit)
+        swap = Permutation.from_cycles([(0, 1)], table.degree)
+        for p in (table, compose(table, swap), Permutation.identity(table.degree)):
+            assert equivalent(circuit, p) == (p == table)
+        if circuit.ancilla is None:
+            return
+        # Data permutations to check: what the clean inputs give, where the
+        # ancilla comes back clean, and the identity.
+        a = circuit.ancilla - 1
+        clean = [x for x in range(table.degree) if not x >> a & 1]
+        outputs = [table(x) for x in clean]
+        candidates = [Permutation.identity(len(clean))]
+        if not any(y >> a & 1 for y in outputs):
+            candidates.append(Permutation([clean.index(y) for y in outputs]))
+        for p in candidates:
+            assert equivalent_with_ancilla(circuit, p) == with_ancilla_oracle(circuit, p)
+
+    def test_draws_reach_both_evaluators(self):
+        # The first draw each way will do; shrinking it would take seconds.
+        first = settings(phases=[Phase.generate], database=None)
+        for lanes, palindrome in ((True, True), (True, False), (False, False)):
+            circuit = find(
+                toffoli_circuits(),
+                lambda c: len(c) > 8
+                and (_inverse_table(c) is not None) == lanes
+                and c.is_palindromic() == palindrome,
+                settings=first,
+            )
+            assert not circuit.has_quantum_gates()
+
+    def test_a_dense_circuit_runs_bit_sliced(self):
+        # Every gate is a plain NOT: 2**5 swaps each against a budget of two.
+        circuit = Circuit(6, [Gate("t", 1 + i % 6) for i in range(12)])
+        assert _inverse_table(circuit) is None
+        assert truth_table(circuit).is_identity()
+
+    def test_a_v_gate_runs_bit_sliced(self):
+        circuit = Circuit(2, [Gate("t", 1, {2: True}), Gate("v", 2), Gate("v", 2)])
+        assert _inverse_table(circuit) is None
+        assert equivalent(circuit, Permutation([2, 3, 1, 0]))
+
+    @pytest.mark.parametrize("where", ["first", "centre", "last", "random"])
+    def test_a_dropped_gate_is_caught_at_ten_lines(self, where):
+        rng = random.Random(10)
+        points = rng.sample(range(1 << 10), 2 * (1 << 8))
+        p = Permutation.from_cycles(zip(points[::2], points[1::2]), 1 << 10)
+        circuit = build_palindrome(p)
+        assert equivalent(circuit, p)
+        gates = list(circuit.gates)
+        i = {"first": 0, "centre": len(gates) // 2, "last": len(gates) - 1}.get(
+            where, rng.randrange(len(gates))
+        )
+        del gates[i]
+        dropped = Circuit(circuit.lines, gates)
+        assert _inverse_table(dropped) is not None
+        assert not equivalent(dropped, p)
 
 
 def _bits(value, lines):
