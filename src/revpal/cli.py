@@ -138,6 +138,14 @@ def _cmd_synth(args) -> int:
         ok = equivalent_with_ancilla(circuit, p)
     else:
         ok = equivalent(circuit, p)
+    # Write before the report, so that a failed write prints no report.
+    text = serialize_circuit(circuit) if ok else ""
+    if ok and args.output:
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.output}: {exc}") from None
+        text = f"written: {args.output}\n"
     _print_header("synth", p, c)
     print(f"mode: {mode}")
     print(f"circuit: {_circuit_stats(circuit)}")
@@ -145,15 +153,7 @@ def _cmd_synth(args) -> int:
     if not ok:
         print("synthesized circuit failed verification", file=sys.stderr)
         return EXIT_VERIFY
-    text = serialize_circuit(circuit)
-    if args.output:
-        try:
-            Path(args.output).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise ValueError(f"cannot write {args.output}: {exc}") from None
-        print(f"written: {args.output}")
-    else:
-        print(text, end="")
+    print(text, end="")
     return EXIT_OK
 
 
@@ -273,7 +273,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--circuit", required=True, help="circuit file")
     p.add_argument("--input", help="one input as bits, x1 first")
     p.add_argument("--all", action="store_true", help="run every input")
-    p.add_argument("--semiclassical", action="store_true")
+    p.add_argument(
+        "--semiclassical",
+        action="store_true",
+        help="label the report 'mode: semiclassical'; both modes run the "
+        "same semi-classical model, so the rows do not change",
+    )
     p.set_defaults(fn=_cmd_simulate)
     return parser
 

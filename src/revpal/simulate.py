@@ -12,16 +12,19 @@ Two models:
   so it raises instead of approximating.
 
 ``simulate_classical`` and ``simulate_semiclassical`` run one input at a
-time; they are the reference oracles.  ``truth_table``, ``equivalent``,
-``equivalent_with_ancilla`` and ``simulate_all`` run every input at once,
-by one of two evaluators, chosen per circuit:
+time; they are the reference oracles.  Every whole-table answer
+(``simulate_all``, ``truth_table``, ``equivalent`` and
+``equivalent_with_ancilla``) reads one forward table from ``_outputs``:
+the output word of each input, and the mask of inputs whose run fails.
+``_outputs`` is the one place that picks an evaluator:
 
 * lane swaps, for Toffoli-only circuits whose gates are mostly fully
   controlled, like every circuit the builders emit: a table holds the
   input (lane) in each state, and a Toffoli with f free lines besides its
-  target swaps 2**f pairs of entries.  A palindrome runs only its right
-  half and its centre, since its left half computes the right half's
-  inverse.
+  target swaps 2**f pairs of entries.  A palindrome L^-1 . c . L of
+  self-inverse gates runs only its right half and its centre; it computes
+  an involution, so the table read off those runs is both its forward and
+  its inverse table.  Any other circuit's table is inverted once.
 * bit-sliced (Biham, FSE 1997), for every other circuit: line ``x_i`` is
   held as one 2**n-bit integer whose bit ``x`` is that line's value on
   input ``x``, so one big-integer operation per control applies a gate to
@@ -30,8 +33,9 @@ by one of two evaluators, chosen per circuit:
 
 Each gate's swaps are counted before they are made; a ``v`` or ``v+``
 gate, or more than about two swaps per gate, hands the circuit to the
-bit-sliced evaluator.  Running every input is limited to ``MAX_LINES`` =
-16 lines, the largest permutation degree.
+bit-sliced evaluator.  ``simulate_all`` is limited to ``MAX_LINES`` = 16
+lines, the largest permutation degree; ``equivalent_with_ancilla`` runs
+one line more.
 """
 
 from __future__ import annotations
@@ -126,20 +130,18 @@ def _input_columns(lines: int) -> list[int]:
     return columns
 
 
-def _simulate_columns(
-    circuit: Circuit, columns: list[int], full: int
-) -> tuple[list[int], int]:
-    """Run the circuit on many inputs at once, one bit lane per input.
+def _simulate_columns(circuit: Circuit) -> tuple[list[int], int]:
+    """Run the circuit on every input at once, one bit lane per input.
 
-    ``columns`` holds one int per line whose bit lanes are the inputs, and
-    ``full`` has every lane set.  Returns the output columns and the mask
-    of lanes where the semi-classical model fails: a control read of a
-    half-rotated cell, or a half-rotated cell at the end.  Those lanes are
-    exactly the inputs on which ``simulate_semiclassical`` or
-    ``classical_readout`` raises, and their output bits are meaningless.
+    Returns the output columns and the mask of lanes where the
+    semi-classical model fails: a control read of a half-rotated cell, or a
+    half-rotated cell at the end.  Those lanes are exactly the inputs on
+    which ``simulate_semiclassical`` or ``classical_readout`` raises, and
+    their output bits are meaningless.
     """
-    hi = list(columns)
+    hi = _input_columns(circuit.lines)
     lo = [0] * len(hi)
+    full = (1 << (1 << circuit.lines)) - 1
     turned = poisoned = 0  # turned: the lines some v or v+ has targeted
     for gate in circuit.gates:
         # The control test x & care == value, lane-wise: the positive
@@ -185,8 +187,8 @@ def _words(columns: list[int], width: int) -> list[int]:
 _SWAPS_PER_GATE = 2
 
 
-def _inverse_table(circuit: Circuit) -> list[int] | None:
-    """``inv`` with ``inv[y] == x`` for every input x the circuit sends to y.
+def _lane_table(circuit: Circuit) -> list[int] | None:
+    """The output word of every input, by lane swaps.
 
     None when the circuit needs the bit-sliced evaluator.  A Toffoli is its
     own inverse, so a palindrome computes L^-1 . c . L for its left half L
@@ -196,11 +198,13 @@ def _inverse_table(circuit: Circuit) -> list[int] | None:
     gates = circuit.gates
     half = len(gates) // 2
     if not half or not circuit.is_palindromic():
-        return _swap_lanes(gates, states, 0)
-    # Run on its own, the right half leaves input x in state L(x).  A
-    # palindrome's centre, and the first gate of the ancilla construction's
-    # right half, may swap half of the states, so these runs may overdraw
-    # by that much.
+        inv = _swap_lanes(gates, states, 0)
+        # Output x is the state whose entry is x: sort the states by entry.
+        return None if inv is None else sorted(range(states), key=inv.__getitem__)
+    # The right half computes L^-1, so its inverse table is L's table; the
+    # centre's is c's.  A palindrome's centre, and the first gate of the
+    # ancilla construction's right half, may swap half of the states, so
+    # these runs may overdraw by that much.
     right = _swap_lanes(gates[-half:], states, states // 2)
     if right is None:
         return None
@@ -208,7 +212,8 @@ def _inverse_table(circuit: Circuit) -> list[int] | None:
     if centre is None:
         return None
     left_inverse = sorted(range(states), key=right.__getitem__)
-    # L^-1 . c . L is its own inverse, so its table is its inverse table.
+    # L, then c, then L^-1, input by input: the forward table, and, as
+    # L^-1 . c . L is an involution, also its own inverse.
     return list(map(left_inverse.__getitem__, map(centre.__getitem__, right)))
 
 
@@ -242,12 +247,17 @@ def _swap_lanes(gates, states: int, allowance: int) -> list[int] | None:
     return inv
 
 
-def _simulate_all_bitsliced(circuit: Circuit) -> tuple[list[int], int]:
-    """``simulate_all`` by the bit-sliced evaluator, for any circuit."""
-    width = 1 << circuit.lines
-    columns = _input_columns(circuit.lines)
-    hi, poisoned = _simulate_columns(circuit, columns, (1 << width) - 1)
-    return _words(hi, width), poisoned
+def _outputs(circuit: Circuit) -> tuple[list[int], int]:
+    """The output word of every input, and the mask of inputs whose run fails.
+
+    The one choice of evaluator: lane swaps where ``_lane_table`` takes the
+    circuit, bit-sliced otherwise.  Failing inputs' words are meaningless.
+    """
+    outputs = _lane_table(circuit)
+    if outputs is not None:
+        return outputs, 0
+    hi, failed = _simulate_columns(circuit)
+    return _words(hi, 1 << circuit.lines), failed
 
 
 def simulate_all(circuit: Circuit) -> tuple[list[int], int]:
@@ -261,11 +271,7 @@ def simulate_all(circuit: Circuit) -> tuple[list[int], int]:
             f"cannot run all inputs of a circuit on {circuit.lines} lines "
             f"(at most {MAX_LINES})"
         )
-    inv = _inverse_table(circuit)
-    if inv is None:
-        return _simulate_all_bitsliced(circuit)
-    # Output x is the state whose entry is x: sort the states by entry.
-    return sorted(range(len(inv)), key=inv.__getitem__), 0
+    return _outputs(circuit)
 
 
 def truth_table(circuit: Circuit) -> Permutation:
@@ -285,12 +291,8 @@ def equivalent(circuit: Circuit, p: Permutation) -> bool:
         raise ValueError(
             f"circuit on {circuit.lines} lines cannot match degree {p.degree}"
         )
-    inv = _inverse_table(circuit)
-    if inv is None:
-        outputs, poisoned = _simulate_all_bitsliced(circuit)
-        return not poisoned and tuple(outputs) == p.image
-    # The input in state y must be one that p sends to y.
-    return list(map(p.image.__getitem__, inv)) == list(range(p.degree))
+    outputs, failed = _outputs(circuit)
+    return not failed and tuple(outputs) == p.image
 
 
 def equivalent_with_ancilla(circuit: Circuit, p: Permutation) -> bool:
@@ -306,17 +308,11 @@ def equivalent_with_ancilla(circuit: Circuit, p: Permutation) -> bool:
             f"circuit on {circuit.lines} lines with one ancilla cannot match degree {p.degree}"
         )
     a = circuit.ancilla - 1
-    inv = _inverse_table(circuit)
-    if inv is not None:
-        # clean[d] is data word d with the ancilla at 0; the input
-        # clean[d] must end in state clean[p(d)].
-        clean = [x for x in range(2 * p.degree) if not x >> a & 1]
-        return list(map(inv.__getitem__, map(clean.__getitem__, p.image))) == clean
-    # Lanes are the data inputs; the ancilla column enters as all zeros.
-    data = _input_columns(circuit.lines - 1)
-    hi, poisoned = _simulate_columns(
-        circuit, data[:a] + [0] + data[a:], (1 << p.degree) - 1
-    )
-    if poisoned or hi[a]:
+    outputs, failed = _outputs(circuit)
+    # A failed input counts only with the ancilla at 0.
+    if failed and failed & ~_input_columns(circuit.lines)[a]:
         return False
-    return tuple(_words(hi[:a] + hi[a + 1 :], p.degree)) == p.image
+    # clean[d] is data word d with the ancilla at 0; the input clean[d]
+    # must end as clean[p(d)].
+    clean = [x for x in range(2 * p.degree) if not x >> a & 1]
+    return list(map(outputs.__getitem__, clean)) == list(map(clean.__getitem__, p.image))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
+from revpal.alternatives import build_ancilla_circuit
 from revpal.circuits import Circuit, Gate, serialize_circuit
 from revpal.cli import main
 from revpal.gates import enumerate_gates
@@ -23,7 +24,7 @@ from revpal.simulate import (
     simulate_semiclassical,
     truth_table,
 )
-from revpal.simulate import _inverse_table, _simulate_all_bitsliced
+from revpal.simulate import _lane_table, _simulate_columns, _words
 from revpal.synth import build_palindrome
 
 # Update x3 with x1 or x2: fully negative-controlled flip, then plain flip.
@@ -227,6 +228,47 @@ class TestBitslicedScale:
         assert not equivalent(circuit, compose(p, swap))
 
 
+class TestLineCeiling:
+    """Sixteen data lines and an ancilla: one line past ``simulate_all``."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        rng = random.Random(17)
+        points = rng.sample(range(1 << 16), 6)
+        p = Permutation.from_cycles(zip(points[::2], points[1::2]), 1 << 16)
+        wrong = compose(p, Permutation.from_cycles([(points[0], points[2])], 1 << 16))
+        return build_ancilla_circuit(p), p, wrong
+
+    def test_ancilla_equivalence_by_both_evaluators(self, wide):
+        circuit, p, wrong = wide
+        a = circuit.ancilla
+        assert circuit.lines == 17 and _lane_table(circuit) is not None
+        # A half turn read off the ancilla sends the circuit bit-sliced.
+        # With the ancilla at 1 it fails every input, which only the dirty
+        # inputs may; with the ancilla at 0, every clean input.
+        dirty, clean = (
+            Circuit(17, [*circuit.gates, Gate("v", 1, {a: at})], a) for at in (True, False)
+        )
+        assert _lane_table(dirty) is None and _lane_table(clean) is None
+        for c in (circuit, dirty):
+            assert equivalent_with_ancilla(c, p)
+            assert not equivalent_with_ancilla(c, wrong)
+        assert not equivalent_with_ancilla(clean, p)
+
+    def test_running_all_inputs_stops_at_sixteen_lines(self, wide, capsys, tmp_path):
+        circuit, _, _ = wide
+        with pytest.raises(ValueError, match="on 17 lines"):
+            simulate_all(circuit)
+        path = tmp_path / "wide.rev"
+        path.write_text(serialize_circuit(circuit))
+        assert main(["simulate", "--circuit", str(path), "--all"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cannot run all inputs of a circuit on 17 lines (at most 16)\n"
+        )
+
+
 # Differential tests: every whole-table answer must match a loop over the
 # per-input oracles ``simulate_classical`` and ``simulate_semiclassical``.
 
@@ -407,14 +449,12 @@ def with_ancilla_oracle(circuit, p):
 
 class TestLaneSwaps:
     @given(toffoli_circuits())
-    def test_inverse_table_matches_both_oracles(self, circuit):
+    def test_lane_table_matches_both_oracles(self, circuit):
         inputs = range(1 << circuit.lines)
         expected = [simulate_classical(circuit, x) for x in inputs]
-        bitsliced, poisoned = _simulate_all_bitsliced(circuit)
-        assert (bitsliced, poisoned) == (expected, 0)
-        inv = _inverse_table(circuit)
-        if inv is not None:
-            assert [inv[y] for y in expected] == list(inputs)
+        hi, failed = _simulate_columns(circuit)
+        assert (_words(hi, len(inputs)), failed) == (expected, 0)
+        assert _lane_table(circuit) in (None, expected)
         assert simulate_all(circuit) == (expected, 0)
         assert truth_table(circuit) == Permutation(expected)
 
@@ -444,7 +484,7 @@ class TestLaneSwaps:
             circuit = find(
                 toffoli_circuits(),
                 lambda c: len(c) > 8
-                and (_inverse_table(c) is not None) == lanes
+                and (_lane_table(c) is not None) == lanes
                 and c.is_palindromic() == palindrome,
                 settings=first,
             )
@@ -453,12 +493,12 @@ class TestLaneSwaps:
     def test_a_dense_circuit_runs_bit_sliced(self):
         # Every gate is a plain NOT: 2**5 swaps each against a budget of two.
         circuit = Circuit(6, [Gate("t", 1 + i % 6) for i in range(12)])
-        assert _inverse_table(circuit) is None
+        assert _lane_table(circuit) is None
         assert truth_table(circuit).is_identity()
 
     def test_a_v_gate_runs_bit_sliced(self):
         circuit = Circuit(2, [Gate("t", 1, {2: True}), Gate("v", 2), Gate("v", 2)])
-        assert _inverse_table(circuit) is None
+        assert _lane_table(circuit) is None
         assert equivalent(circuit, Permutation([2, 3, 1, 0]))
 
     @pytest.mark.parametrize("where", ["first", "centre", "last", "random"])
@@ -474,7 +514,7 @@ class TestLaneSwaps:
         )
         del gates[i]
         dropped = Circuit(circuit.lines, gates)
-        assert _inverse_table(dropped) is not None
+        assert _lane_table(dropped) is not None
         assert not equivalent(dropped, p)
 
 
