@@ -5,7 +5,9 @@ no single gate shares its cycle type.  Both constructions here embed the
 function into the nearest larger gate instead: pick the container gate
 with 2**k transpositions (2**(k-1) < s < 2**k) nearest the involution,
 keep the s of its transpositions that the involution's pairs match as the
-conjugated core, and cancel the surplus ones.
+conjugated core, and cancel the surplus ones.  ``synth._embedding``, which
+also serves the odd palindrome, picks gate, core and conjugator in one
+place, from one matching.
 
 * The ancilla construction evaluates "core fires" into an extra
   zero-initialized line, copies it onto the target with one CNOT, then
@@ -28,9 +30,9 @@ __all__ = [
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate
-from .gates import MpmctGate, nearest_gate, transposition_gate
-from .perm import Permutation, find_conjugator, lines_for_degree, match_pairs
-from .synth import NEEDS_ALTERNATIVE, _palindrome, classify
+from .gates import MpmctGate, transposition_gate
+from .perm import Permutation, lines_for_degree
+from .synth import NEEDS_ALTERNATIVE, _embedding, _palindrome, classify
 
 
 @dataclass(frozen=True)
@@ -57,27 +59,21 @@ def decompose(p: Permutation) -> TargetDecomposition:
     """Split ``p`` into container gate, conjugated core, and surplus.
 
     Only defined for involutions whose transposition count is not a power
-    of two.  The container is ``nearest_gate`` with ``2**k`` pairs; the
-    core is the ``s`` pairs of it that ``match_pairs`` sends ``p``'s pairs
-    to, nearest first, so the conjugator moves few points.
+    of two.  Gate, core and conjugator are ``synth._embedding``'s: the
+    container is ``nearest_gate`` with ``2**k`` pairs, and the core the
+    ``s`` pairs of it that ``p``'s pairs match, nearest first, so the
+    conjugator moves few points.
     """
     c = classify(p)
     if c.kind != NEEDS_ALTERNATIVE:
         raise ValueError(
             f"decompose applies to involutions of non-power-of-two size, got {c.kind!r}"
         )
-    n = lines_for_degree(p.degree)
-    s = c.size
-    k = s.bit_length()  # ceil(log2(s)) for non-powers of two
-    p_pairs = p.transpositions()
-    gate = nearest_gate(p_pairs, n, k)
+    gate, inner, sigma = _embedding(p, lines_for_degree(p.degree))
     ts = gate.transpositions()
-    core = {(min(a, b), max(a, b)) for a, b, _, _ in match_pairs(p_pairs, ts, n)}
+    surplus = Permutation.from_transpositions(ts - inner.transpositions(), p.degree)
     gate_perm = Permutation.from_transpositions(ts, p.degree)
-    inner = Permutation.from_transpositions(core, p.degree)
-    surplus = Permutation.from_transpositions(ts - core, p.degree)
-    sigma = find_conjugator(p, inner)
-    return TargetDecomposition(gate, gate_perm, inner, surplus, sigma, k)
+    return TargetDecomposition(gate, gate_perm, inner, surplus, sigma, c.size.bit_length())
 
 
 def _surplus_gates(d: TargetDecomposition, kind: str, target: int) -> list[Gate]:

@@ -235,12 +235,15 @@ def find_conjugator(p: Permutation, q: Permutation) -> Permutation:
     that p moves then goes back where a step of sigma came from, when that
     closes a 2-cycle, or else to the nearest free fixpoint of ``p`` in
     Hamming distance.  Every other cycle type is matched cycle by cycle,
-    element by element, in canonical cycle form.
+    element by element, in canonical cycle form.  The builders do not call
+    this: ``synth._embedding`` picks their gate and core by the same
+    matching and reads the conjugator from its rows, matching once.
     """
     if p.degree == q.degree and p.is_involution() and q.is_involution():
         p_pairs, q_pairs = p.transpositions(), q.transpositions()
         if len(p_pairs) == len(q_pairs):
-            return _nearest_conjugator(p, q, p_pairs, q_pairs)
+            lines = (p.degree - 1).bit_length()
+            return _nearest_conjugator(p, q, match_pairs(p_pairs, q_pairs, lines))
     p_cycles, q_cycles = p.cycles(), q.cycles()
     # Canonical cycles come longest first, so their lengths are the cycle type.
     p_type, q_type = tuple(map(len, p_cycles)), tuple(map(len, q_cycles))
@@ -293,13 +296,18 @@ def match_pairs(
     raise ValueError("fewer pairs to match onto than to match")
 
 
-def _nearest_conjugator(p, q, p_pairs, q_pairs) -> Permutation:
-    """``find_conjugator`` for two involutions with as many pairs each."""
+def _nearest_conjugator(p, q, rows) -> Permutation:
+    """``find_conjugator`` for two involutions whose pairs ``rows`` matched.
+
+    ``rows`` are ``match_pairs``' rows for the pairs of ``p`` onto those of
+    ``q``; the caller matches, so a caller that chose ``q`` by that very
+    matching does not match twice.
+    """
     lines = (p.degree - 1).bit_length()
     pi, qi = p.image, q.image
     image = list(range(p.degree))
     heads = set()
-    for a, b, c, d in match_pairs(p_pairs, q_pairs, lines):
+    for a, b, c, d in rows:
         image[a], image[b] = c, d
         # A step h -> x from a fixpoint of p to a fixpoint of q closes into
         # the 2-cycle (h x), whose second step the flank gets for free.

@@ -8,7 +8,9 @@ the gate in the middle, and the flank replayed in reverse.  The flank pays
 about two gates per bit each point moves, so the middle gate is the one
 nearest the involution and the conjugator a nearest matching.  Involutions
 with any other transposition count admit no such circuit on n lines;
-:mod:`revpal.alternatives` covers them.
+:mod:`revpal.alternatives` covers them.  One function, ``_embedding``,
+picks the gate, the core and the conjugator for all three builders, and
+matches the involution's pairs onto the gate's once.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ __all__ = [
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate
-from .gates import nearest_gate
-from .perm import Permutation, find_conjugator, lines_for_degree
+from .gates import MpmctGate, nearest_gate
+from .perm import Permutation, _nearest_conjugator, lines_for_degree, match_pairs
 
 NOT_INVOLUTION = "not-involution"
 IDENTITY = "identity"
@@ -114,12 +116,11 @@ def _chain_gates(p: Permutation, n: int) -> list[Gate]:
 def build_palindrome(p: Permutation) -> Circuit:
     """An odd palindromic circuit on n lines computing the involution ``p``.
 
-    Requires ``classify(p).kind == "palindromic"``.  The middle gate is the
-    gate of ``p``'s class nearest ``p`` (``nearest_gate``), which is ``p``
-    itself when ``p`` is a single gate; the flanks realize the conjugator
-    ``find_conjugator`` gives between the two.  The identity is accepted
-    and returns the empty circuit, which is palindromic but even; the
-    odd-length guarantee covers only non-identity inputs.
+    Requires ``classify(p).kind == "palindromic"``.  The middle gate and
+    the conjugator are ``_embedding``'s, with the whole gate as the core:
+    the gate is ``p`` itself when ``p`` is a single gate.  The identity is
+    accepted and returns the empty circuit, which is palindromic but even;
+    the odd-length guarantee covers only non-identity inputs.
     """
     c = classify(p)
     n = lines_for_degree(p.degree)
@@ -129,9 +130,24 @@ def build_palindrome(p: Permutation) -> Circuit:
         raise ValueError(
             f"no odd palindromic circuit on {n} lines exists for kind {c.kind!r}"
         )
-    middle = nearest_gate(p.transpositions(), n, c.k - 1)
-    sigma = find_conjugator(p, middle.permutation())
-    return _palindrome(sigma, [], middle.circuit_gate(), n)
+    gate, _, sigma = _embedding(p, n)
+    return _palindrome(sigma, [], gate.circuit_gate(), n)
+
+
+def _embedding(p: Permutation, n: int) -> tuple[MpmctGate, Permutation, Permutation]:
+    """The gate, core and conjugator that embed the involution ``p`` on n lines.
+
+    The gate is the one with ``2**ceil(log2 s)`` pairs nearest ``p``'s s
+    pairs (``nearest_gate``); ``match_pairs`` sends ``p``'s pairs onto s
+    of its pairs, the core, nearest first; and the conjugator, read from
+    that one matching, satisfies p = conjugator . core . conjugator^-1.
+    When s is a power of two the core is the whole gate.
+    """
+    pairs = p.transpositions()
+    gate = nearest_gate(pairs, n, (len(pairs) - 1).bit_length())
+    rows = match_pairs(pairs, gate.transpositions(), n)
+    core = Permutation.from_transpositions([row[:2] for row in rows], p.degree)
+    return gate, core, _nearest_conjugator(p, core, rows)
 
 
 def _palindrome(sigma, half, centre, lines, ancilla=None) -> Circuit:

@@ -12,7 +12,7 @@ from revpal.alternatives import (
 from revpal.census import iter_involutions
 from revpal.circuits import Circuit, Gate
 from revpal.gates import MpmctGate, nearest_gate
-from revpal.perm import Permutation, compose
+from revpal.perm import Permutation, compose, find_conjugator
 from revpal.simulate import (
     classical_readout,
     equivalent,
@@ -21,7 +21,7 @@ from revpal.simulate import (
     simulate_semiclassical,
     truth_table,
 )
-from revpal.synth import build_palindrome
+from revpal.synth import _palindrome, build_palindrome, classify
 
 WORKED = Permutation.from_cycles([(0, 1), (3, 5), (2, 7)], 8)
 
@@ -250,3 +250,47 @@ def test_every_builder_output_is_an_odd_verified_palindrome(data):
     for c, check in circuits:
         assert c.is_palindromic() and len(c) % 2 == 1
         assert check(c, p)
+
+
+@given(st.data())
+def test_one_embedding_matches_the_two_step_recipe(data):
+    # Oracle: the recipe from before the three builders shared one
+    # embedding.  Each chose its own gate, and find_conjugator matched p's
+    # pairs onto the core or the whole gate a second time.
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    power = n < 3 or data.draw(st.booleans())
+    sizes = [s for s in range(1, (1 << (n - 1)) + 1) if (s & (s - 1) == 0) == power]
+    size = data.draw(st.sampled_from(sizes))
+    points = data.draw(st.permutations(list(range(1 << n))))
+    p = Permutation.from_transpositions(
+        zip(points[0 : 2 * size : 2], points[1 : 2 * size : 2]), 1 << n
+    )
+    c = classify(p)
+    if power:
+        g = nearest_gate(p.transpositions(), n, c.k - 1)
+        sigma = find_conjugator(p, g.permutation())
+        assert build_palindrome(p) == _palindrome(sigma, [], g.circuit_gate(), n)
+    else:
+        d = decompose(p)
+        assert d.gate == nearest_gate(p.transpositions(), n, c.size.bit_length())
+        assert d.conjugator == find_conjugator(p, d.inner)
+
+
+@pytest.mark.parametrize("build", [build_ancilla_circuit, build_v_circuit])
+def test_a_build_matches_its_pairs_once(build, monkeypatch):
+    import revpal.alternatives
+    import revpal.perm
+    import revpal.synth
+
+    calls = []
+
+    def counted(p_pairs, q_pairs, lines):
+        calls.append(sorted(p_pairs))
+        return match_pairs(p_pairs, q_pairs, lines)
+
+    match_pairs = revpal.perm.match_pairs
+    for module in (revpal.perm, revpal.synth, revpal.alternatives):
+        if hasattr(module, "match_pairs"):
+            monkeypatch.setattr(module, "match_pairs", counted)
+    build(WORKED)
+    assert calls.count(sorted(WORKED.transpositions())) == 1

@@ -281,6 +281,26 @@ def _seeded_involution(rng, n, s):
 # gates any builder emits (flank order, middle gate, surplus blocks) must
 # update it on purpose.
 BUILDER_BYTES_SHA256 = "edb7ceb408c29e012cc1b1407cf5dc268e213c1e9b03fd6d0d85c25b0d68d311"
+# The same draws on nine to eleven lines, captured before the three builders
+# chose gate, core and conjugator in one place.
+BUILDER_BYTES_9_11_SHA256 = "0919daa9542a458560553e2d5db4f532e1e0d330891268d5d0994d94278e9272"
+
+
+def test_builder_bytes_are_pinned_for_nine_to_eleven_lines():
+    from revpal.alternatives import build_ancilla_circuit, build_v_circuit
+    from revpal.circuits import serialize_circuit
+
+    digest = hashlib.sha256()
+    for n in range(9, 12):
+        rng = random.Random(f"builder-bytes:{n}")
+        for s in (1, 1 << (n - 2)):
+            p = _seeded_involution(rng, n, s)
+            digest.update(serialize_circuit(build_palindrome(p)).encode())
+        for s in (3, (1 << (n - 2)) + 1):
+            p = _seeded_involution(rng, n, s)
+            digest.update(serialize_circuit(build_ancilla_circuit(p)).encode())
+            digest.update(serialize_circuit(build_v_circuit(p)).encode())
+    assert digest.hexdigest() == BUILDER_BYTES_9_11_SHA256
 
 
 def test_builder_bytes_are_pinned_for_four_to_eight_lines():
