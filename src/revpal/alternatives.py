@@ -71,8 +71,8 @@ def decompose(p: Permutation) -> TargetDecomposition:
         )
     gate, inner, sigma = _embedding(p, lines_for_degree(p.degree))
     ts = gate.transpositions()
-    surplus = Permutation.from_transpositions(ts - inner.transpositions(), p.degree)
-    gate_perm = Permutation.from_transpositions(ts, p.degree)
+    surplus = Permutation.from_cycles(ts - inner.transpositions(), p.degree)
+    gate_perm = Permutation.from_cycles(ts, p.degree)
     return TargetDecomposition(gate, gate_perm, inner, surplus, sigma, c.size.bit_length())
 
 

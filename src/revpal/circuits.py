@@ -38,21 +38,6 @@ Controls = tuple[tuple[int, bool], ...]
 MAX_CIRCUIT_LINES = 1024
 
 
-def normalize_controls(controls) -> Controls:
-    """Canonical control storage: pairs ``(line, positive)`` sorted by line."""
-    if isinstance(controls, Mapping):
-        pairs = [(int(line), bool(pol)) for line, pol in controls.items()]
-    else:
-        pairs = [(int(line), bool(pol)) for line, pol in controls]
-    pairs.sort()
-    lines = [line for line, _ in pairs]
-    if len(set(lines)) != len(lines):
-        # Sorted, so the lowest repeated line is the first to come twice in a row.
-        line = next(a for a, b in zip(lines, lines[1:]) if a == b)
-        raise ValueError(f"duplicate control line x{_clip(str(line), str)}")
-    return tuple(pairs)
-
-
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class Gate:
     """One gate: kind, target line, and polarity-tagged control lines.
@@ -72,12 +57,11 @@ class Gate:
             raise ValueError(f"unknown gate kind {kind!r}")
         if target < 1:
             raise ValueError(f"target line must be >= 1, got {target}")
-        pairs = normalize_controls(controls)
-        if any(line == target for line, _ in pairs):
-            raise ValueError(f"target line x{target} listed among controls")
-        if any(line < 1 for line, _ in pairs):
+        items = controls.items() if isinstance(controls, Mapping) else controls
+        pairs = [(int(line), bool(pol)) for line, pol in items]
+        if pairs and min(pairs)[0] < 1:
             raise ValueError("control lines must be >= 1")
-        _fill(self, kind, target, *_masks(pairs))
+        _fill(self, kind, target, *_control_masks(pairs, target))
 
     @classmethod
     def _from_masks(cls, kind: str, target: int, care: int, value: int) -> "Gate":
@@ -113,12 +97,24 @@ def set_bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _masks(pairs) -> tuple[int, int]:
-    """``(care, value)`` of ``(line, positive)`` pairs."""
+def _control_masks(pairs, target: int) -> tuple[int, int]:
+    """``(care, value)`` of the ``(line, positive)`` controls of a gate on ``target``.
+
+    The one control rule, for the constructor and the parser alike: no
+    line is given twice, and the target is not among the controls.  The
+    caller has checked that every line is 1 or more.
+    """
     care = value = 0
     for line, positive in pairs:
         care |= 1 << (line - 1)
         value |= positive << (line - 1)
+    if care.bit_count() < len(pairs):
+        # Some line came twice; only now find the lowest such line.
+        lines = sorted(line for line, _ in pairs)
+        line = next(a for a, b in zip(lines, lines[1:]) if a == b)
+        raise ValueError(f"duplicate control line x{_clip(str(line), str)}")
+    if care >> (target - 1) & 1:
+        raise ValueError(f"target line x{target} listed among controls")
     return care, value
 
 
@@ -250,7 +246,8 @@ def _directive_int(tokens, lineno: int, name: str, current: int | None) -> int:
         raise CircuitParseError(lineno, col0, f"{name} takes exactly one integer")
     col, tok = tokens[1]
     try:
-        number = int(tok) if tok.isdecimal() else 0
+        # ASCII digits only, as in a gate's x<i> tokens.
+        number = int(tok) if tok.isascii() and tok.isdecimal() else 0
     except ValueError:  # more digits than int() reads
         number = 0
     if number < 1:
@@ -277,12 +274,10 @@ def _parse_gate(tokens, lineno: int, lines: int) -> Gate:
     target, positive = pairs.pop()
     if not positive:
         raise CircuitParseError(lineno, tcol, "the target (last token) cannot be negated")
-    care, value = _masks(pairs)
-    if care.bit_count() < len(pairs) or care >> (target - 1) & 1:
-        try:  # a line named twice: the constructor words the fault
-            Gate(kind, target, pairs)
-        except ValueError as exc:
-            raise CircuitParseError(lineno, tcol, str(exc)) from None
+    try:
+        care, value = _control_masks(pairs, target)
+    except ValueError as exc:
+        raise CircuitParseError(lineno, tcol, str(exc)) from None
     return Gate._from_masks(kind, target, care, value)
 
 

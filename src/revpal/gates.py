@@ -58,7 +58,7 @@ class _Swaps:
         return frozenset((x, x | bit) for x in inputs if not x & bit and self.fires(x))
 
     def permutation(self) -> Permutation:
-        return Permutation.from_transpositions(self.transpositions(), 1 << self.lines)
+        return Permutation.from_cycles(self.transpositions(), 1 << self.lines)
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -74,13 +74,9 @@ class MpmctGate(Gate, _Swaps):
     lines: int
 
     def __init__(self, lines: int, target: int, controls=()):
-        if lines < 1:
-            raise ValueError("a gate needs at least one line")
-        if not 1 <= target <= lines:
-            raise ValueError(f"target x{target} out of range 1..{lines}")
         Gate.__init__(self, "t", target, controls)
-        if self.care >> lines:
-            raise ValueError(f"control x{self.care.bit_length()} out of range 1..{lines}")
+        if self.max_line() > lines:
+            raise ValueError(f"line x{self.max_line()} out of range 1..{lines}")
         object.__setattr__(self, "lines", lines)
 
     @property

@@ -71,20 +71,22 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls(range(degree))
+        return cls.from_cycles((), degree)
 
     @classmethod
     def transposition(cls, degree: int, a: int, b: int) -> "Permutation":
         """The permutation swapping ``a`` and ``b`` and fixing everything else."""
         if a == b:
             raise ValueError("transposition endpoints must differ")
-        image = list(range(degree))
-        image[a], image[b] = b, a
-        return cls(image)
+        return cls.from_cycles([(a, b)], degree)
 
     @classmethod
     def from_cycles(cls, cycles: Iterable[Iterable[int]], degree: int) -> "Permutation":
-        """Build a permutation from disjoint cycles; omitted elements are fixpoints."""
+        """Build a permutation from disjoint cycles; omitted elements are fixpoints.
+
+        ``identity``, ``transposition`` and ``from_transpositions`` build
+        through this one check.
+        """
         if not 1 <= degree <= MAX_DEGREE:  # before building the image
             raise ValueError(f"degree must be between 1 and {MAX_DEGREE}, got {degree}")
         image = list(range(degree))
@@ -96,7 +98,7 @@ class Permutation:
                     shown = _clip(str(x), str)
                     raise ValueError(f"cycle element {shown} out of range 0..{degree - 1}")
                 if x in seen:
-                    raise ValueError(f"element {x} appears in more than one cycle")
+                    raise ValueError(f"element {x} appears more than once")
                 seen.add(x)
             for i, x in enumerate(cyc):
                 image[x] = cyc[(i + 1) % len(cyc)]
@@ -106,8 +108,16 @@ class Permutation:
     def from_transpositions(
         cls, transpositions: Iterable[tuple[int, int]], degree: int
     ) -> "Permutation":
-        """Product of pairwise-disjoint transpositions (an involution)."""
-        return cls.from_cycles(transpositions, degree)
+        """Product of pairwise-disjoint transpositions (an involution).
+
+        An entry that is not two points is rejected by its 1-based
+        position, so the result is always an involution.
+        """
+        pairs = list(transpositions)
+        for entry, pair in enumerate(pairs, 1):
+            if len(pair) != 2:
+                raise ValueError(f"transposition {entry} is not a pair of points")
+        return cls.from_cycles(pairs, degree)
 
     @property
     def image(self) -> tuple[int, ...]:

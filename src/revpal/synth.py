@@ -146,7 +146,7 @@ def _embedding(p: Permutation, n: int) -> tuple[MpmctGate, Permutation, Permutat
     pairs = p.transpositions()
     gate = nearest_gate(pairs, n, (len(pairs) - 1).bit_length())
     rows = match_pairs(pairs, gate.transpositions(), n)
-    core = Permutation.from_transpositions([row[:2] for row in rows], p.degree)
+    core = Permutation.from_cycles([row[:2] for row in rows], p.degree)
     return gate, core, _nearest_conjugator(p, core, rows)
 
 

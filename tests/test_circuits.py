@@ -311,6 +311,9 @@ class TestParse:
             (f".lines {MAX_CIRCUIT_LINES + 1}\n", 8, ".lines wants at most 1024"),
             (".lines \u00b2\n", 8, ".lines wants a positive integer, got '\u00b2'"),
             (".lines 2\n.ancilla " + "9" * 5000 + "\n", 10, ".ancilla wants a positive"),
+            # A decimal digit outside ASCII is refused, as in a gate token.
+            (".lines \u0663\n", 8, ".lines wants a positive integer, got '\u0663'"),
+            (".lines 4\n.ancilla \u0663\n", 10, ".ancilla wants a positive integer, got '\u0663'"),
         ],
     )
     def test_directive_numbers_stay_parse_errors(self, text, column, message):
@@ -318,6 +321,26 @@ class TestParse:
             parse_circuit(text)
         assert err.value.column == column
         assert message in str(err.value)
+
+    @given(
+        kind=st.sampled_from(GATE_KINDS),
+        lines=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_constructor_and_parser_share_the_control_rule(self, kind, lines, data):
+        # Repeats and the target among the controls are common draws here.
+        target = data.draw(st.integers(1, lines))
+        pairs = data.draw(st.lists(st.tuples(st.integers(1, lines), st.booleans()), max_size=6))
+        tokens = [("x" if pol else "-x") + str(line) for line, pol in pairs]
+        try:
+            built = Gate(kind, target, pairs)
+        except ValueError as exc:
+            built = str(exc)
+        try:
+            [parsed] = parse_circuit(f".lines {lines}\n{kind} {' '.join(tokens)} x{target}\n")
+        except CircuitParseError as exc:
+            parsed = str(exc).removeprefix(f"line 2, column {exc.column}: ")
+        assert parsed == built
 
     def test_repeated_gate_lines_parse_alike(self):
         text = ".lines 3\nt -x1 x3\nt x2 x1\nt -x1 x3\n"

@@ -56,6 +56,12 @@ class TestClassify:
         [line] = capsys.readouterr().err.splitlines()
         assert line == "error: not a bijection on 0..1023: 1023 is missing from the image"
 
+    def test_an_element_repeated_in_one_cycle_is_named_rightly(self, capsys):
+        assert main(["classify", "--perm", "(0 1 0)"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: element 0 appears more than once\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

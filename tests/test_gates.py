@@ -65,6 +65,20 @@ class TestMpmctGate:
         with pytest.raises(ValueError):
             MpmctGate(3, 1, {5: True})
 
+    @pytest.mark.parametrize(
+        "lines, target, controls, message",
+        [
+            (3, 4, {}, "line x4 out of range 1..3"),
+            (3, 1, {5: True, 2: False}, "line x5 out of range 1..3"),
+            (3, 0, {}, "target line must be >= 1, got 0"),
+            (0, 1, {}, "line x1 out of range 1..0"),
+        ],
+    )
+    def test_one_line_range_rule(self, lines, target, controls, message):
+        with pytest.raises(ValueError) as err:
+            MpmctGate(lines, target, controls)
+        assert str(err.value) == message
+
     def test_not_gate_transpositions(self):
         g = MpmctGate(3, 3)
         assert g.transpositions() == {(0, 4), (1, 5), (2, 6), (3, 7)}

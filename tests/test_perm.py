@@ -59,6 +59,34 @@ class TestBasics:
         with pytest.raises(ValueError):
             Permutation.identity((1 << 16) + 1)
 
+    @pytest.mark.parametrize(
+        "degree, a, b, message",
+        [
+            (4, 0, 9, "cycle element 9 out of range 0..3"),
+            (4, -1, 2, "cycle element -1 out of range 0..3"),
+            (0, 0, 1, "degree must be between 1 and 65536, got 0"),
+            (4, 2, 2, "transposition endpoints must differ"),
+        ],
+    )
+    def test_transposition_errors(self, degree, a, b, message):
+        with pytest.raises(ValueError) as err:
+            Permutation.transposition(degree, a, b)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(0, 1, 2)], "transposition 1 is not a pair of points"),
+            ([(0, 1), (2,)], "transposition 2 is not a pair of points"),
+            ([(0, 1), (1, 2)], "element 1 appears more than once"),
+        ],
+    )
+    def test_from_transpositions_builds_only_involutions(self, pairs, message):
+        with pytest.raises(ValueError) as err:
+            Permutation.from_transpositions(pairs, 4)
+        assert str(err.value) == message
+        assert Permutation.from_transpositions([(0, 3), [2, 1]], 4).image == (3, 2, 1, 0)
+
     def test_compose_is_right_to_left(self):
         # Oracle: hand-traced table.  q = t(1 2) first, then p = t(0 1):
         # 0 -> q 0 -> p 1;  1 -> q 2 -> p 2;  2 -> q 1 -> p 0;  3 -> 3.
@@ -106,6 +134,12 @@ class TestCycles:
             Permutation.from_cycles([(0, 1), (1, 2)], 4)
         with pytest.raises(ValueError):
             Permutation.from_cycles([(0, 9)], 4)
+
+    @pytest.mark.parametrize("cycles", [[(0, 1, 0)], [(0, 1), (2, 0)]])
+    def test_a_repeat_is_named_within_and_across_cycles(self, cycles):
+        with pytest.raises(ValueError) as err:
+            Permutation.from_cycles(cycles, 4)
+        assert str(err.value) == "element 0 appears more than once"
 
     @given(permutations())
     def test_cycle_round_trip(self, p):
