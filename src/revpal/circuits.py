@@ -22,6 +22,7 @@ __all__ = [
     "serialize_circuit",
 ]
 
+import operator
 import re
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -55,10 +56,12 @@ class Gate:
     def __init__(self, kind: str, target: int, controls=()):
         if kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {kind!r}")
+        # operator.index, not int(): int() would read 1.5 and "2" as lines.
+        target = operator.index(target)
         if target < 1:
             raise ValueError(f"target line must be >= 1, got {target}")
         items = controls.items() if isinstance(controls, Mapping) else controls
-        pairs = [(int(line), bool(pol)) for line, pol in items]
+        pairs = [(operator.index(line), bool(pol)) for line, pol in items]
         if pairs and min(pairs)[0] < 1:
             raise ValueError("control lines must be >= 1")
         _fill(self, kind, target, *_control_masks(pairs, target))
@@ -198,8 +201,10 @@ def parse_circuit(text: str) -> Circuit:
     ancilla_at = (1, 1)
     gates: list[Gate] = []
     # Gate lines repeat (a palindrome mirrors its flank), and once .lines is
-    # set a gate line always parses to the same gate.
+    # set a gate line always parses to the same gate, and a control token
+    # to the same (line, positive) pair.
     seen: dict[str, Gate] = {}
+    known: dict[str, tuple[int, bool]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         gate = seen.get(raw)
         if gate is not None:
@@ -222,7 +227,7 @@ def parse_circuit(text: str) -> Circuit:
         elif head in GATE_KINDS:
             if lines is None:
                 raise CircuitParseError(lineno, col0, "gate before .lines header")
-            gate = seen[raw] = _parse_gate(tokens, lineno, lines)
+            gate = seen[raw] = _parse_gate(tokens, lineno, lines, known)
             gates.append(gate)
         else:
             raise CircuitParseError(
@@ -255,21 +260,30 @@ def _directive_int(tokens, lineno: int, name: str, current: int | None) -> int:
     return number
 
 
-def _parse_gate(tokens, lineno: int, lines: int) -> Gate:
+def _parse_gate(tokens, lineno: int, lines: int, known: dict[str, tuple[int, bool]]) -> Gate:
+    """The gate of one gate line's ``(column, token)`` pairs.
+
+    ``known`` maps each control token the file has given so far to its
+    ``(line, positive)`` pair.  A token enters it only once it has passed
+    its checks, so the checks and their errors are those of a first read.
+    """
     col0, kind = tokens[0]
     if len(tokens) < 2:
         raise CircuitParseError(lineno, col0, "gate needs a target line")
     pairs = []
     for col, tok in tokens[1:]:
-        m = _CONTROL_RE.match(tok)
-        if not m:
-            raise CircuitParseError(lineno, col, f"expected x<i> or -x<i>, got {_clip(tok)}")
-        digits = m.group(2).lstrip("0") or "0"  # as int() prints it; int() may refuse
-        if len(digits) > len(str(lines)) or not 1 <= int(digits) <= lines:
-            raise CircuitParseError(
-                lineno, col, f"line x{_clip(digits, str)} out of range 1..{lines}"
-            )
-        pairs.append((int(digits), m.group(1) != "-"))
+        pair = known.get(tok)
+        if pair is None:
+            m = _CONTROL_RE.match(tok)
+            if not m:
+                raise CircuitParseError(lineno, col, f"expected x<i> or -x<i>, got {_clip(tok)}")
+            digits = m.group(2).lstrip("0") or "0"  # as int() prints it; int() may refuse
+            if len(digits) > len(str(lines)) or not 1 <= int(digits) <= lines:
+                raise CircuitParseError(
+                    lineno, col, f"line x{_clip(digits, str)} out of range 1..{lines}"
+                )
+            pair = known[tok] = (int(digits), m.group(1) != "-")
+        pairs.append(pair)
     tcol = tokens[-1][0]
     target, positive = pairs.pop()
     if not positive:

@@ -37,6 +37,7 @@ __all__ = [
     "transposition_gate",
 ]
 
+import operator
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -74,6 +75,7 @@ class MpmctGate(Gate, _Swaps):
     lines: int
 
     def __init__(self, lines: int, target: int, controls=()):
+        lines = operator.index(lines)
         Gate.__init__(self, "t", target, controls)
         if self.max_line() > lines:
             raise ValueError(f"line x{self.max_line()} out of range 1..{lines}")

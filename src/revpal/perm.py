@@ -50,7 +50,7 @@ class Permutation:
     __slots__ = ("_image", "_pairs")
 
     def __init__(self, image: Iterable[int]):
-        img = tuple(image)
+        img = tuple(map(operator.index, image))
         if not 1 <= len(img) <= MAX_DEGREE:
             raise ValueError(
                 f"degree must be between 1 and {MAX_DEGREE}, got {len(img)}"
@@ -414,10 +414,13 @@ def cycle_string(p: Permutation) -> str:
 
 
 def _parse_int(token: str, entry: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"bad integer {_clip(token)} at entry {entry}") from None
+    """``token`` read as a number of ASCII digits only, as in circuit files."""
+    if token.isascii() and token.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() reads
+            pass
+    raise ValueError(f"bad integer {_clip(token)} at entry {entry}")
 
 
 def _clip(token: str, show=repr) -> str:

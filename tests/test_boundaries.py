@@ -60,6 +60,33 @@ def test_parse_circuit_returns_a_round_trip_or_a_parse_error(text):
     assert parse_circuit(serialize_circuit(c)) == c
 
 
+# Spellings that int(), str.isdigit(), str.split() or str.splitlines() read
+# otherwise than a circuit file's rules do: leading zeros, signs,
+# underscores, non-ASCII digits, \x1c (a line break to splitlines), NBSP
+# (white space to the tokenizer), a number past any line count.
+HOSTILE_TOKENS = [
+    ".lines", ".ancilla", "t", "v+", "x1", "x01", "-x1", "-x", "x\u0663", "+x1", "x1_0",
+    "#", "\x1c", "\xa0", "9" * 30, "\n", "2", "(", ")", ",", "0", "1", "1_5", "-0", "\u0661",
+]
+
+
+@given(
+    st.sampled_from(["", ".lines 2\n", ".lines 3\nt x1 -x2 x3\n"]),
+    st.lists(st.sampled_from(HOSTILE_TOKENS), max_size=24).map(" ".join),
+)
+def test_hostile_text_reaches_only_the_documented_errors(header, text):
+    try:
+        c = parse_circuit(header + text)
+    except CircuitParseError:
+        pass
+    else:
+        assert parse_circuit(serialize_circuit(c)) == c
+    try:
+        parse_permutation(text)
+    except ValueError:
+        pass
+
+
 NUMBERS = st.integers(-2, 20) | st.sampled_from([2**16, 10**12, 10**40])
 cycle_texts = st.lists(st.lists(NUMBERS, max_size=4), max_size=3).map(
     lambda cycles: "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)

@@ -82,6 +82,61 @@ def shared_gate_circuits(draw):
     return Circuit(lines, draw(st.permutations(used)), ancilla)
 
 
+@st.composite
+def token_sharing_files(draw):
+    """``(lines, gate_lines)``: 1..8 gate lines on 2..5 lines, drawn with
+    repeats from a stock of up to five.
+
+    The stocked lines reuse a few line numbers in both signs, in the
+    canonical spelling or with leading zeros (``x1``, ``-x1``, ``x01``,
+    ``-x001``).  In half the files, most lines carry one fault: a line out
+    of range, a negated target, a repeated control or the target among the
+    controls.
+    """
+    lines = draw(st.integers(2, 5))
+    faults = [None]
+    if draw(st.booleans()):
+        faults += ["range", "negated", "repeat", "target"]
+
+    def spell(line, positive):
+        zeros = draw(st.sampled_from([0, 0, 1, 2]))
+        return ("x" if positive else "-x") + "0" * zeros + str(line)
+
+    def gate_line():
+        target = draw(st.integers(1, lines))
+        others = [i for i in range(1, lines + 1) if i != target]
+        controls = draw(
+            st.lists(
+                st.tuples(st.sampled_from(others), st.booleans()),
+                unique_by=lambda c: c[0],
+                max_size=3,
+            )
+        )
+        operands = [spell(line, positive) for line, positive in controls]
+        fault = draw(st.sampled_from(faults))
+        if fault == "range":
+            bad = spell(draw(st.sampled_from([0, lines + 1])), draw(st.booleans()))
+            operands.insert(draw(st.integers(0, len(operands))), bad)
+        elif fault == "repeat":
+            line = draw(st.sampled_from(others))
+            operands += [spell(line, draw(st.booleans())), spell(line, draw(st.booleans()))]
+        elif fault == "target":
+            operands.append(spell(target, draw(st.booleans())))
+        operands.append(spell(target, fault != "negated"))
+        return " ".join([draw(st.sampled_from(GATE_KINDS)), *operands])
+
+    stock = [gate_line() for _ in range(draw(st.integers(1, 5)))]
+    return lines, draw(st.lists(st.sampled_from(stock), min_size=1, max_size=8))
+
+
+def parsed_or_error(text):
+    """The gates of ``text``, or the line, column and message of its error."""
+    try:
+        return list(parse_circuit(text))
+    except CircuitParseError as exc:
+        return exc.line, exc.column, str(exc).split(": ", 1)[1]
+
+
 class TestGate:
     def test_controls_normalized(self):
         a = Gate("t", 3, {2: False, 1: False})
@@ -127,6 +182,19 @@ class TestGate:
         with pytest.raises(ValueError, match="uses line x1000000 but the circuit has 3"):
             Circuit(3, [Gate("t", 1, {10**6: True})])
         assert time.perf_counter() - started < 1
+
+    @pytest.mark.parametrize(
+        "target, controls, shown",
+        [
+            (3, [(1.5, True)], "float"),  # int() would make it control x1
+            (3, [("2", True)], "str"),  # int() would make it control x2
+            (2.0, [], "float"),
+        ],
+        ids=["float-control", "str-control", "float-target"],
+    )
+    def test_a_line_that_is_no_integer_fails_at_construction(self, target, controls, shown):
+        with pytest.raises(TypeError, match=f"'{shown}' object cannot be interpreted as an int"):
+            Gate("t", target, controls)
 
     def test_fires_is_the_mask_test(self):
         g = Gate("t", 3, {1: True, 2: False})
@@ -341,6 +409,26 @@ class TestParse:
         except CircuitParseError as exc:
             parsed = str(exc).removeprefix(f"line 2, column {exc.column}: ")
         assert parsed == built
+
+    @given(token_sharing_files())
+    def test_a_file_parses_as_its_gate_lines_one_by_one(self, case):
+        # A control token is read once per file, then reused, so a token
+        # read in one gate line must mean the same in every other.
+        lines, body = case
+        expected = []
+        for lineno, gate_line in enumerate(body, start=2):
+            alone = parsed_or_error(f".lines {lines}\n{gate_line}\n")
+            if isinstance(alone, tuple):
+                expected = (lineno, *alone[1:])
+                break
+            expected += alone
+        assert parsed_or_error(f".lines {lines}\n" + "\n".join(body) + "\n") == expected
+
+    def test_a_token_is_read_against_its_own_files_line_count(self):
+        # What one file's tokens meant is kept for that file only.
+        assert parse_circuit(".lines 5\nt x5 x1\n").gates == (Gate("t", 1, {5: True}),)
+        with pytest.raises(CircuitParseError, match=r"line x5 out of range 1\.\.4"):
+            parse_circuit(".lines 4\nt x5 x1\n")
 
     def test_repeated_gate_lines_parse_alike(self):
         text = ".lines 3\nt -x1 x3\nt x2 x1\nt -x1 x3\n"

@@ -63,6 +63,22 @@ class TestClassify:
         assert captured.err == "error: element 0 appears more than once\n"
 
     @pytest.mark.parametrize(
+        "perm, shown",
+        [
+            ("(0 1_5)", "'1_5' at entry 2"),  # int() reads 15
+            ("(0 +1)", "'+1' at entry 2"),
+            ("(-0 1)", "'-0' at entry 1"),
+            ("\u0661 0", "'\u0661' at entry 1"),  # an Arabic-Indic one
+        ],
+    )
+    def test_only_ascii_digits_make_an_integer(self, capsys, perm, shown):
+        # The rule of circuit files; int() alone accepts each of these.
+        assert main(["classify", "--perm", perm]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad integer {shown}\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["--perm", " ".join(map(str, range(1023))) + " x"],  # bad last entry

@@ -79,6 +79,10 @@ class TestMpmctGate:
             MpmctGate(lines, target, controls)
         assert str(err.value) == message
 
+    def test_a_line_count_that_is_no_integer_fails_at_construction(self):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            MpmctGate(3.0, 1)
+
     def test_not_gate_transpositions(self):
         g = MpmctGate(3, 3)
         assert g.transpositions() == {(0, 4), (1, 5), (2, 6), (3, 7)}

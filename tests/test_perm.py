@@ -55,6 +55,11 @@ class TestBasics:
         with pytest.raises(ValueError):
             Permutation([])
 
+    def test_an_entry_that_is_no_integer_fails_at_construction(self):
+        # 1.0 == 1, so the bijection test alone would let [1.0, 0.0] through.
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            Permutation([1.0, 0.0])
+
     def test_rejects_huge_degree(self):
         with pytest.raises(ValueError):
             Permutation.identity((1 << 16) + 1)
