@@ -195,10 +195,11 @@ def parse_circuit(text: str) -> Circuit:
     ``.ancilla i``.  Each remaining line is one gate: a kind token (``t``,
     ``v`` or ``v+``) followed by control tokens ``x<i>`` (positive) or
     ``-x<i>`` (negative), the final token being the target ``x<i>``.
+    Tokens are separated by any white space.
     """
     lines: int | None = None
     ancilla: int | None = None
-    ancilla_at = (1, 1)
+    ancilla_at = None
     gates: list[Gate] = []
     # Gate lines repeat (a palindrome mirrors its flank), and once .lines is
     # set a gate line always parses to the same gate, and a control token
@@ -211,88 +212,90 @@ def parse_circuit(text: str) -> Circuit:
             gates.append(gate)
             continue
         stripped = raw.split("#", 1)[0]
-        tokens = [(m.start() + 1, m.group()) for m in _TOKEN_RE.finditer(stripped)]
+        tokens = stripped.split()
         if not tokens:
             continue
-        col0, head = tokens[0]
+        head = tokens[0]
+        where = (lineno, stripped)
         if head == ".lines":
-            lines = _directive_int(tokens, lineno, ".lines", lines)
+            lines = _directive_int(tokens, where, ".lines", lines)
             if lines > MAX_CIRCUIT_LINES:
-                raise CircuitParseError(
-                    lineno, tokens[1][0], f".lines wants at most {MAX_CIRCUIT_LINES}"
-                )
+                raise _fault(where, 1, f".lines wants at most {MAX_CIRCUIT_LINES}")
         elif head == ".ancilla":
-            ancilla = _directive_int(tokens, lineno, ".ancilla", ancilla)
-            ancilla_at = (lineno, tokens[1][0])
+            ancilla = _directive_int(tokens, where, ".ancilla", ancilla)
+            ancilla_at = where
         elif head in GATE_KINDS:
             if lines is None:
-                raise CircuitParseError(lineno, col0, "gate before .lines header")
-            gate = seen[raw] = _parse_gate(tokens, lineno, lines, known)
+                raise _fault(where, 0, "gate before .lines header")
+            gate = seen[raw] = _parse_gate(tokens, where, lines, known)
             gates.append(gate)
         else:
-            raise CircuitParseError(
-                lineno, col0, f"expected a directive or gate kind, got {_clip(head)}"
-            )
+            raise _fault(where, 0, f"expected a directive or gate kind, got {_clip(head)}")
     if lines is None:
         raise CircuitParseError(1, 1, "missing .lines header")
     if ancilla is not None and ancilla > lines:
-        raise CircuitParseError(
-            *ancilla_at, f"ancilla line x{_clip(str(ancilla), str)} out of range 1..{lines}"
+        raise _fault(
+            ancilla_at, 1, f"ancilla line x{_clip(str(ancilla), str)} out of range 1..{lines}"
         )
     return Circuit(lines, gates, ancilla)
 
 
-def _directive_int(tokens, lineno: int, name: str, current: int | None) -> int:
+def _fault(where: tuple[int, str], index: int, message: str) -> CircuitParseError:
+    """The error for token ``index`` of ``where``, a line's number and its text before ``#``.
+
+    Columns are found only here, for the token at fault.
+    """
+    lineno, stripped = where
+    starts = [m.start() + 1 for m in _TOKEN_RE.finditer(stripped)]
+    return CircuitParseError(lineno, starts[index], message)
+
+
+def _directive_int(tokens: list[str], where, name: str, current: int | None) -> int:
     """The value of a ``name`` directive; ``current`` is its value so far, if any."""
-    col0 = tokens[0][0]
     if current is not None:
-        raise CircuitParseError(lineno, col0, f"duplicate {name} directive")
+        raise _fault(where, 0, f"duplicate {name} directive")
     if len(tokens) != 2:
-        raise CircuitParseError(lineno, col0, f"{name} takes exactly one integer")
-    col, tok = tokens[1]
+        raise _fault(where, 0, f"{name} takes exactly one integer")
+    tok = tokens[1]
     try:
         # ASCII digits only, as in a gate's x<i> tokens.
-        number = int(tok) if tok.isascii() and tok.isdecimal() else 0
+        number = int(tok) if tok.isascii() and tok.isdigit() else 0
     except ValueError:  # more digits than int() reads
         number = 0
     if number < 1:
-        raise CircuitParseError(lineno, col, f"{name} wants a positive integer, got {_clip(tok)}")
+        raise _fault(where, 1, f"{name} wants a positive integer, got {_clip(tok)}")
     return number
 
 
-def _parse_gate(tokens, lineno: int, lines: int, known: dict[str, tuple[int, bool]]) -> Gate:
-    """The gate of one gate line's ``(column, token)`` pairs.
+def _parse_gate(tokens: list[str], where, lines: int, known: dict[str, tuple[int, bool]]) -> Gate:
+    """The gate of one gate line's tokens.
 
     ``known`` maps each control token the file has given so far to its
     ``(line, positive)`` pair.  A token enters it only once it has passed
     its checks, so the checks and their errors are those of a first read.
     """
-    col0, kind = tokens[0]
     if len(tokens) < 2:
-        raise CircuitParseError(lineno, col0, "gate needs a target line")
+        raise _fault(where, 0, "gate needs a target line")
     pairs = []
-    for col, tok in tokens[1:]:
+    for i, tok in enumerate(tokens[1:], 1):
         pair = known.get(tok)
         if pair is None:
             m = _CONTROL_RE.match(tok)
             if not m:
-                raise CircuitParseError(lineno, col, f"expected x<i> or -x<i>, got {_clip(tok)}")
+                raise _fault(where, i, f"expected x<i> or -x<i>, got {_clip(tok)}")
             digits = m.group(2).lstrip("0") or "0"  # as int() prints it; int() may refuse
             if len(digits) > len(str(lines)) or not 1 <= int(digits) <= lines:
-                raise CircuitParseError(
-                    lineno, col, f"line x{_clip(digits, str)} out of range 1..{lines}"
-                )
+                raise _fault(where, i, f"line x{_clip(digits, str)} out of range 1..{lines}")
             pair = known[tok] = (int(digits), m.group(1) != "-")
         pairs.append(pair)
-    tcol = tokens[-1][0]
     target, positive = pairs.pop()
     if not positive:
-        raise CircuitParseError(lineno, tcol, "the target (last token) cannot be negated")
+        raise _fault(where, -1, "the target (last token) cannot be negated")
     try:
         care, value = _control_masks(pairs, target)
     except ValueError as exc:
-        raise CircuitParseError(lineno, tcol, str(exc)) from None
-    return Gate._from_masks(kind, target, care, value)
+        raise _fault(where, -1, str(exc)) from None
+    return Gate._from_masks(tokens[0], target, care, value)
 
 
 def serialize_circuit(circuit: Circuit) -> str:

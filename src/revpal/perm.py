@@ -92,7 +92,8 @@ class Permutation:
         image = list(range(degree))
         seen: set[int] = set()
         for cycle in cycles:
-            cyc = list(cycle)
+            # operator.index, as in the constructor: 1.5 and "1" are no points.
+            cyc = list(map(operator.index, cycle))
             for x in cyc:
                 if not 0 <= x < degree:
                     shown = _clip(str(x), str)
@@ -377,7 +378,7 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
             raise ValueError(f"malformed cycle notation: {fault} at column {stray.start() + 1}")
         cycles, elements = [], []
         for body in _CYCLE_RE.findall(text):
-            items = [tok for tok in re.split(r"[\s,]+", body) if tok]
+            items = body.replace(",", " ").split()
             cycles.append([_parse_int(tok, len(elements) + i) for i, tok in enumerate(items, 1)])
             elements += cycles[-1]
         if degree is None:
@@ -389,7 +390,7 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
                 raise ValueError(f"cycle element {shown} out of range 0..{MAX_DEGREE - 1}")
             degree = 1 << max(top, 1).bit_length()
         return Permutation.from_cycles(cycles, degree)
-    items = [tok for tok in re.split(r"[\s,]+", text) if tok]
+    items = text.replace(",", " ").split()
     if not items:
         raise ValueError("empty permutation")
     image = [_parse_int(tok, i) for i, tok in enumerate(items, 1)]

@@ -24,17 +24,27 @@ CIRCUIT_TOKENS = [
     "#", "# note", "²", "٣", "9" * 30, "x" + "9" * 30, "q",
 ]
 
+# White space that str.split() and the column count must agree on: tab,
+# \x1f (also a line break to str.splitlines()), NBSP, em and ideographic
+# space.  A plain space comes half the time, so that many files still parse.
+separators = st.just(" ") | st.sampled_from(["\t", "\x1f", "\xa0", "\u2003", "\u3000"])
+
 raw_lines = st.lists(
-    st.sampled_from(CIRCUIT_TOKENS) | st.text(max_size=3), max_size=6
-).map(" ".join)
+    st.tuples(separators, st.sampled_from(CIRCUIT_TOKENS) | st.text(max_size=3)), max_size=6
+).map(lambda pairs: "".join(map("".join, pairs)))
+
+
+def spaced(draw, tokens):
+    """``tokens`` joined by drawn separators."""
+    return tokens[0] + "".join(draw(separators) + tok for tok in tokens[1:])
 
 
 @st.composite
 def headed_texts(draw):
     """A ``.lines`` header, maybe an ``.ancilla``, then mostly gate lines."""
-    out = [f".lines {draw(st.integers(1, 4))}"]
+    out = [spaced(draw, [".lines", str(draw(st.integers(1, 4)))])]
     if draw(st.booleans()):
-        out.append(f".ancilla {draw(st.integers(1, 5))}")
+        out.append(spaced(draw, [".ancilla", str(draw(st.integers(1, 5)))]))
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(["t", "v", "v+"]))
         operands = draw(
@@ -42,20 +52,34 @@ def headed_texts(draw):
                 st.tuples(st.booleans(), st.integers(0, 5)), min_size=1, max_size=4
             )
         )
-        out.append(
-            " ".join([kind] + [("-x" if neg else "x") + str(i) for neg, i in operands])
-        )
+        out.append(spaced(draw, [kind] + [("-x" if neg else "x") + str(i) for neg, i in operands]))
     return "\n".join(out + draw(st.lists(raw_lines, max_size=2)))
 
 
 circuit_texts = st.one_of(headed_texts(), st.lists(raw_lines, max_size=8).map("\n".join))
 
 
+def assert_points_at_a_token(text, err):
+    """``err`` names a line of ``text`` and a column where a token of it starts.
+
+    Only the text before ``#`` counts.  A file without ``.lines`` is named
+    at line 1, column 1, whatever that holds.
+    """
+    if str(err).endswith(": missing .lines header"):
+        assert (err.line, err.column) == (1, 1)
+        return
+    line = text.splitlines()[err.line - 1].split("#", 1)[0]
+    pairs = zip(" " + line, line)  # (character before, character)
+    starts = [i + 1 for i, (a, b) in enumerate(pairs) if a.isspace() and not b.isspace()]
+    assert err.column in starts
+
+
 @given(circuit_texts)
 def test_parse_circuit_returns_a_round_trip_or_a_parse_error(text):
     try:
         c = parse_circuit(text)
-    except CircuitParseError:
+    except CircuitParseError as err:
+        assert_points_at_a_token(text, err)
         return
     assert parse_circuit(serialize_circuit(c)) == c
 
@@ -77,8 +101,8 @@ HOSTILE_TOKENS = [
 def test_hostile_text_reaches_only_the_documented_errors(header, text):
     try:
         c = parse_circuit(header + text)
-    except CircuitParseError:
-        pass
+    except CircuitParseError as err:
+        assert_points_at_a_token(header + text, err)
     else:
         assert parse_circuit(serialize_circuit(c)) == c
     try:

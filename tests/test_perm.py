@@ -60,6 +60,20 @@ class TestBasics:
         with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
             Permutation([1.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "build, kind",
+        [
+            (lambda: Permutation.from_cycles([("0", 1)], 2), "str"),
+            (lambda: Permutation.transposition(4, 0, 1.5), "float"),
+            (lambda: Permutation.from_transpositions([(0, 1), (2, 3.0)], 4), "float"),
+        ],
+        ids=["from_cycles", "transposition", "from_transpositions"],
+    )
+    def test_a_point_that_is_no_integer_fails_at_construction(self, build, kind):
+        # The constructors' own error, not one from the range test or the image write.
+        with pytest.raises(TypeError, match=f"'{kind}' object cannot be interpreted as an integer"):
+            build()
+
     def test_rejects_huge_degree(self):
         with pytest.raises(ValueError):
             Permutation.identity((1 << 16) + 1)
@@ -389,6 +403,7 @@ class TestParsing:
 
     def test_one_line_commas(self):
         assert parse_permutation("1, 0, 3, 2").image == (1, 0, 3, 2)
+        assert parse_permutation("1\t0,\xa03\u3000,2").image == (1, 0, 3, 2)
 
     def test_cycle_form(self):
         p = parse_permutation("(0 4 3)(1 2 6 5)")
@@ -399,6 +414,7 @@ class TestParsing:
         a = parse_permutation("(0, 4, 3)( 1 2 6 5 )")
         b = parse_permutation("(0 4 3)(1 2 6 5)")
         assert a == b
+        assert parse_permutation("(0\t4,\xa03)(1\u20032 6 5)") == b
 
     def test_degree_inference_rounds_to_power_of_two(self):
         assert parse_permutation("(0 2)").degree == 4
@@ -443,6 +459,9 @@ class TestParsing:
                 "cycle element 99999999999999999999... (25 characters) at entry 2 "
                 "out of range 0..65535",
             ),
+            # Any white space separates, as in circuit files: tab, NBSP, comma.
+            ("0\t1\xa0,x 3", "bad integer 'x' at entry 3"),
+            ("(0\t1)(2,\xa0a)", "bad integer 'a' at entry 4"),
         ],
     )
     def test_error_names_the_place_not_the_text(self, text, message):
