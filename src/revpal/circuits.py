@@ -143,6 +143,10 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
+        # operator.index, as in Gate: a float or str line count raises here.
+        object.__setattr__(self, "lines", operator.index(self.lines))
+        if self.ancilla is not None:
+            object.__setattr__(self, "ancilla", operator.index(self.ancilla))
         if self.lines < 1:
             raise ValueError("a circuit needs at least one line")
         for g in self.gates:

@@ -200,8 +200,8 @@ def _parse_bits(text: str, lines: int) -> int:
 def _cmd_simulate(args) -> int:
     circuit = _load_circuit(args.circuit)
     # Rows pair an input with its output, or with None where the scalar
-    # semi-classical simulator must run: for --input, and for the inputs the
-    # bit-sliced run marks as failing, whose exact error it reports.  On a
+    # semi-classical simulator must run: for --input, and for the inputs
+    # simulate_all marks as failing, whose exact error it reports.  On a
     # Toffoli-only circuit it answers as the classical one does.
     if args.input is not None:
         rows = [(_parse_bits(args.input, circuit.lines), None)]

@@ -16,26 +16,29 @@ time; they are the reference oracles.  Every whole-table answer
 (``simulate_all``, ``truth_table``, ``equivalent`` and
 ``equivalent_with_ancilla``) reads one forward table from ``_outputs``:
 the output word of each input, and the mask of inputs whose run fails.
-``_outputs`` is the one place that picks an evaluator:
+``_outputs`` is the one place that picks an evaluator, and it has two:
 
-* lane swaps, for Toffoli-only circuits whose gates are mostly fully
-  controlled, like every circuit the builders emit: a table holds the
-  input (lane) in each state, and a Toffoli with f free lines besides its
-  target swaps 2**f pairs of entries.  A palindrome L^-1 . c . L of
-  self-inverse gates runs only its right half and its centre; it computes
-  an involution, so the table read off those runs is both its forward and
-  its inverse table.  Any other circuit's table is inverted once.
-* bit-sliced (Biham, FSE 1997), for every other circuit: line ``x_i`` is
-  held as one 2**n-bit integer whose bit ``x`` is that line's value on
-  input ``x``, so one big-integer operation per control applies a gate to
+* lane swaps, for runs of Toffoli gates that are mostly fully controlled,
+  like the flanks the builders emit: a table holds the input (lane) in
+  each state, and a Toffoli with f free lines besides its target swaps
+  2**f pairs of entries.
+* bit-sliced (Biham, FSE 1997), for any gates: line ``x_i`` is held as
+  one 2**n-bit integer whose bit ``x`` is that line's value on input
+  ``x``, so one big-integer operation per control applies a gate to
   every input.  A cell mod 4 is two such planes, ``hi`` (the classical
   bit) and ``lo`` (the half turn).
 
-Each gate's swaps are counted before they are made; a ``v`` or ``v+``
-gate, or more than about two swaps per gate, hands the circuit to the
-bit-sliced evaluator.  ``simulate_all`` is limited to ``MAX_LINES`` = 16
-lines, the largest permutation degree; ``equivalent_with_ancilla`` runs
-one line more.
+One rule splits every circuit.  A lane run takes Toffoli gates in order
+until a ``v`` or ``v+`` gate, or until its swaps, counted before they are
+made, pass half the states plus two per gate.  A palindrome's left
+half opens with such a run; its right half closes with the mirror run,
+which undoes it and so is read off the same table, not run.  Only the
+gates between the two runs, the middle, are left: lane swaps run it if
+they take it whole, and the bit-sliced evaluator otherwise.  A circuit
+that is not a palindrome is all middle.
+
+``simulate_all`` is limited to ``MAX_LINES`` = 16 lines, the largest
+permutation degree; ``equivalent_with_ancilla`` runs one line more.
 """
 
 from __future__ import annotations
@@ -130,8 +133,8 @@ def _input_columns(lines: int) -> list[int]:
     return columns
 
 
-def _simulate_columns(circuit: Circuit) -> tuple[list[int], int]:
-    """Run the circuit on every input at once, one bit lane per input.
+def _simulate_columns(lines: int, gates) -> tuple[list[int], int]:
+    """Run ``gates`` on all 2**lines inputs at once, one bit lane per input.
 
     Returns the output columns and the mask of lanes where the
     semi-classical model fails: a control read of a half-rotated cell, or a
@@ -139,11 +142,11 @@ def _simulate_columns(circuit: Circuit) -> tuple[list[int], int]:
     which ``simulate_semiclassical`` or ``classical_readout`` raises, and
     their output bits are meaningless.
     """
-    hi = _input_columns(circuit.lines)
-    lo = [0] * len(hi)
-    full = (1 << (1 << circuit.lines)) - 1
+    hi = _input_columns(lines)
+    lo = [0] * lines
+    full = (1 << (1 << lines)) - 1
     turned = poisoned = 0  # turned: the lines some v or v+ has targeted
-    for gate in circuit.gates:
+    for gate in gates:
         # The control test x & care == value, lane-wise: the positive
         # controls (value) read 1 and the negative ones (care ^ value) read 0.
         fire = full
@@ -182,60 +185,29 @@ def _words(columns: list[int], width: int) -> list[int]:
     return words
 
 
-#: Lane swaps the lane evaluator may spend per gate run; past them, the
-#: bit-sliced evaluator is the cheaper.
+#: Lane swaps a lane run may spend per gate, on top of half the states;
+#: past them, the bit-sliced evaluator is the cheaper.
 _SWAPS_PER_GATE = 2
 
 
-def _lane_table(circuit: Circuit) -> list[int] | None:
-    """The output word of every input, by lane swaps.
-
-    None when the circuit needs the bit-sliced evaluator.  A Toffoli is its
-    own inverse, so a palindrome computes L^-1 . c . L for its left half L
-    and centre c (none when the length is even), and its right half L^-1.
-    """
-    states = 1 << circuit.lines
-    gates = circuit.gates
-    half = len(gates) // 2
-    if not half or not circuit.is_palindromic():
-        inv = _swap_lanes(gates, states, 0)
-        # Output x is the state whose entry is x: sort the states by entry.
-        return None if inv is None else sorted(range(states), key=inv.__getitem__)
-    # The right half computes L^-1, so its inverse table is L's table; the
-    # centre's is c's.  A palindrome's centre, and the first gate of the
-    # ancilla construction's right half, may swap half of the states, so
-    # these runs may overdraw by that much.
-    right = _swap_lanes(gates[-half:], states, states // 2)
-    if right is None:
-        return None
-    centre = _swap_lanes(gates[half:-half], states, states // 2)
-    if centre is None:
-        return None
-    left_inverse = sorted(range(states), key=right.__getitem__)
-    # L, then c, then L^-1, input by input: the forward table, and, as
-    # L^-1 . c . L is an involution, also its own inverse.
-    return list(map(left_inverse.__getitem__, map(centre.__getitem__, right)))
-
-
-def _swap_lanes(gates, states: int, allowance: int) -> list[int] | None:
-    """The inverse table of ``gates`` run in order on ``states`` states.
+def _swap_lanes(gates, states: int) -> tuple[list[int], int]:
+    """The inverse table of the run of ``gates`` that lane swaps take.
 
     A Toffoli swaps the lanes of each state it fires on whose target bit
-    is 0 with its partner across the target.  None at a ``v`` or ``v+``
-    gate, or once the swaps exceed ``_SWAPS_PER_GATE`` per gate plus
-    ``allowance``, counted before they are made.
+    is 0 with its partner across the target.  The run stops before a ``v``
+    or ``v+`` gate, or before a gate whose swaps, counted before they are
+    made, would overdraw a budget of half the states plus
+    ``_SWAPS_PER_GATE`` per gate.  Returns the table and the gates run.
     """
     full = states - 1
     inv = list(range(states))
-    budget = allowance
-    for g in gates:
-        if g.kind != "t":
-            return None
+    budget = states // 2
+    for ran, g in enumerate(gates):
         bit = 1 << (g.target - 1)
         free = full ^ g.care ^ bit
         budget += _SWAPS_PER_GATE - (1 << free.bit_count())
-        if budget < 0:
-            return None
+        if g.kind != "t" or budget < 0:
+            return inv, ran
         value, sub = g.value, 0
         while True:  # sub walks every subset of free, starting and ending at 0
             x = value | sub
@@ -244,20 +216,42 @@ def _swap_lanes(gates, states: int, allowance: int) -> list[int] | None:
             sub = (sub - free) & free
             if not sub:
                 break
-    return inv
+    return inv, len(gates)
 
 
 def _outputs(circuit: Circuit) -> tuple[list[int], int]:
     """The output word of every input, and the mask of inputs whose run fails.
 
-    The one choice of evaluator: lane swaps where ``_lane_table`` takes the
-    circuit, bit-sliced otherwise.  Failing inputs' words are meaningless.
+    The one choice of evaluator; failing inputs' words are meaningless.  A
+    palindrome's left half opens with a lane run L and its right half
+    closes with the mirror run, which computes L^-1; any other circuit has
+    no such runs.  The gates between them, the middle M, run by lane swaps
+    if those take M whole, bit-sliced otherwise.  Input x then ends as
+    L^-1(M(L(x))), and fails where M fails on L(x).
     """
-    outputs = _lane_table(circuit)
-    if outputs is not None:
-        return outputs, 0
-    hi, failed = _simulate_columns(circuit)
-    return _words(hi, 1 << circuit.lines), failed
+    states = 1 << circuit.lines
+    gates = circuit.gates
+    palindrome = circuit.is_palindromic()
+    left, k = _swap_lanes(gates[: len(gates) // 2 if palindrome else 0], states)
+    middle = gates[k : len(gates) - k]
+    inv, ran = _swap_lanes(middle, states)
+    if ran == len(middle):
+        # A palindrome of self-inverse gates computes an involution, so its
+        # inverse table is also its forward table.
+        outputs = inv if palindrome else sorted(range(states), key=inv.__getitem__)
+        failed = 0
+    else:
+        hi, failed = _simulate_columns(circuit.lines, middle)
+        outputs = _words(hi, states)
+    if not k:
+        return outputs, failed
+    # L's forward table: L(x) is the state whose entry is x.
+    forward = sorted(range(states), key=left.__getitem__)
+    outputs = list(map(left.__getitem__, map(outputs.__getitem__, forward)))
+    if failed:  # bit x of the input mask is bit L(x) of the middle's
+        bits = format(failed, f"0{states}b")[::-1]
+        failed = int("".join(map(bits.__getitem__, forward))[::-1], 2)
+    return outputs, failed
 
 
 def simulate_all(circuit: Circuit) -> tuple[list[int], int]:

@@ -184,17 +184,29 @@ class TestGate:
         assert time.perf_counter() - started < 1
 
     @pytest.mark.parametrize(
-        "target, controls, shown",
+        "build, shown",
         [
-            (3, [(1.5, True)], "float"),  # int() would make it control x1
-            (3, [("2", True)], "str"),  # int() would make it control x2
-            (2.0, [], "float"),
+            (lambda: Gate("t", 3, [(1.5, True)]), "float"),  # int() would make it control x1
+            (lambda: Gate("t", 3, [("2", True)]), "str"),  # int() would make it control x2
+            (lambda: Gate("t", 2.0), "float"),
+            (lambda: Circuit(2.5), "float"),
+            (lambda: Circuit(2.5, [Gate("t", 1)]), "float"),
+            (lambda: Circuit("3"), "str"),
+            (lambda: Circuit(3, ancilla=1.5), "float"),
         ],
-        ids=["float-control", "str-control", "float-target"],
+        ids=[
+            "float-control",
+            "str-control",
+            "float-target",
+            "float-lines",
+            "float-lines-with-gate",
+            "str-lines",
+            "float-ancilla",
+        ],
     )
-    def test_a_line_that_is_no_integer_fails_at_construction(self, target, controls, shown):
+    def test_a_line_that_is_no_integer_fails_at_construction(self, build, shown):
         with pytest.raises(TypeError, match=f"'{shown}' object cannot be interpreted as an int"):
-            Gate("t", target, controls)
+            build()
 
     def test_fires_is_the_mask_test(self):
         g = Gate("t", 3, {1: True, 2: False})

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from revpal.alternatives import build_ancilla_circuit
+from revpal import simulate
+from revpal.alternatives import build_ancilla_circuit, build_v_circuit
 from revpal.circuits import Circuit, Gate, serialize_circuit
 from revpal.cli import main
 from revpal.gates import enumerate_gates
@@ -24,7 +25,7 @@ from revpal.simulate import (
     simulate_semiclassical,
     truth_table,
 )
-from revpal.simulate import _lane_table, _simulate_columns, _words
+from revpal.simulate import _outputs, _simulate_columns, _swap_lanes, _words
 from revpal.synth import build_palindrome
 
 # Update x3 with x1 or x2: fully negative-controlled flip, then plain flip.
@@ -42,6 +43,20 @@ def random_toffoli_circuit(rng, lines, length):
         }
         gates.append(Gate("t", target, controls))
     return Circuit(lines, gates)
+
+
+def bit_sliced_runs(circuit):
+    """The gate lists that ``_outputs`` hands to the bit-sliced evaluator."""
+    runs = []
+
+    def record(lines, gates):
+        runs.append(tuple(gates))
+        return _simulate_columns(lines, gates)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate, "_simulate_columns", record)
+        _outputs(circuit)
+    return runs
 
 
 class TestClassical:
@@ -242,14 +257,16 @@ class TestLineCeiling:
     def test_ancilla_equivalence_by_both_evaluators(self, wide):
         circuit, p, wrong = wide
         a = circuit.ancilla
-        assert circuit.lines == 17 and _lane_table(circuit) is not None
-        # A half turn read off the ancilla sends the circuit bit-sliced.
+        assert circuit.lines == 17 and bit_sliced_runs(circuit) == []
+        # A half turn read off the ancilla, after the palindrome, leaves
+        # no palindrome and ends the lane run: all of it runs bit-sliced.
         # With the ancilla at 1 it fails every input, which only the dirty
         # inputs may; with the ancilla at 0, every clean input.
         dirty, clean = (
             Circuit(17, [*circuit.gates, Gate("v", 1, {a: at})], a) for at in (True, False)
         )
-        assert _lane_table(dirty) is None and _lane_table(clean) is None
+        for c in (dirty, clean):
+            assert bit_sliced_runs(c) == [c.gates]
         for c in (circuit, dirty):
             assert equivalent_with_ancilla(c, p)
             assert not equivalent_with_ancilla(c, wrong)
@@ -325,6 +342,30 @@ def candidate_perms(outputs):
     return perms
 
 
+def check_equivalent(circuit):
+    """``equivalent`` answers as the per-input oracle does."""
+    outputs = oracle_outputs(circuit, range(1 << circuit.lines))
+    for p in candidate_perms(outputs):
+        expected = all(y == p(x) for x, y in enumerate(outputs))
+        assert equivalent(circuit, p) == expected
+
+
+def check_equivalent_with_ancilla(circuit):
+    """``equivalent_with_ancilla`` answers as the per-input oracle does on
+    the inputs with the ancilla at 0."""
+    a = circuit.ancilla
+    low = (1 << (a - 1)) - 1
+    inputs = [(x & ~low) << 1 | (x & low) for x in range(1 << (circuit.lines - 1))]
+    outputs = oracle_outputs(circuit, inputs)
+    data_out = [
+        None if y is None or y >> (a - 1) & 1 else (y >> 1) & ~low | (y & low)
+        for y in outputs
+    ]
+    for p in candidate_perms(data_out):
+        expected = all(y == p(x) for x, y in enumerate(data_out))
+        assert equivalent_with_ancilla(circuit, p) == expected
+
+
 def cell_model(circuit, x):
     """The semi-classical model spelled out per line: one cell mod 4 each,
     a control read only while its cell is 0 or 2."""
@@ -365,10 +406,7 @@ class TestAgainstOracles:
 
     @given(circuits())
     def test_equivalent(self, circuit):
-        outputs = oracle_outputs(circuit, range(1 << circuit.lines))
-        for p in candidate_perms(outputs):
-            expected = all(y == p(x) for x, y in enumerate(outputs))
-            assert equivalent(circuit, p) == expected
+        check_equivalent(circuit)
 
     @given(st.data())
     def test_equivalent_with_ancilla(self, data):
@@ -386,17 +424,7 @@ class TestAgainstOracles:
                 Gate(g.kind, widen(g.target), [(widen(c), pol) for c, pol in g.controls])
                 for g in base.gates
             ]
-            circuit = Circuit(lines, gates + noise, ancilla=a)
-            low = (1 << (a - 1)) - 1
-            inputs = [(x & ~low) << 1 | (x & low) for x in range(1 << (lines - 1))]
-            outputs = oracle_outputs(circuit, inputs)
-            data_out = [
-                None if y is None or y >> (a - 1) & 1 else (y >> 1) & ~low | (y & low)
-                for y in outputs
-            ]
-            for p in candidate_perms(data_out):
-                expected = all(y == p(x) for x, y in enumerate(data_out))
-                assert equivalent_with_ancilla(circuit, p) == expected
+            check_equivalent_with_ancilla(Circuit(lines, gates + noise, ancilla=a))
 
 
 # Differential tests of the lane-swap evaluator: against the per-input
@@ -452,9 +480,11 @@ class TestLaneSwaps:
     def test_lane_table_matches_both_oracles(self, circuit):
         inputs = range(1 << circuit.lines)
         expected = [simulate_classical(circuit, x) for x in inputs]
-        hi, failed = _simulate_columns(circuit)
+        hi, failed = _simulate_columns(circuit.lines, circuit.gates)
         assert (_words(hi, len(inputs)), failed) == (expected, 0)
-        assert _lane_table(circuit) in (None, expected)
+        inv, ran = _swap_lanes(circuit.gates, len(inputs))
+        if ran == len(circuit):
+            assert sorted(inputs, key=inv.__getitem__) == expected
         assert simulate_all(circuit) == (expected, 0)
         assert truth_table(circuit) == Permutation(expected)
 
@@ -484,22 +514,51 @@ class TestLaneSwaps:
             circuit = find(
                 toffoli_circuits(),
                 lambda c: len(c) > 8
-                and (_lane_table(c) is not None) == lanes
+                and (bit_sliced_runs(c) == []) == lanes
                 and c.is_palindromic() == palindrome,
                 settings=first,
             )
             assert not circuit.has_quantum_gates()
 
     def test_a_dense_circuit_runs_bit_sliced(self):
-        # Every gate is a plain NOT: 2**5 swaps each against a budget of two.
+        # Every gate is a plain NOT: 2**5 swaps each, against a budget of
+        # half the states, 32, plus two per gate.
         circuit = Circuit(6, [Gate("t", 1 + i % 6) for i in range(12)])
-        assert _lane_table(circuit) is None
+        assert bit_sliced_runs(circuit) == [circuit.gates]
         assert truth_table(circuit).is_identity()
 
     def test_a_v_gate_runs_bit_sliced(self):
         circuit = Circuit(2, [Gate("t", 1, {2: True}), Gate("v", 2), Gate("v", 2)])
-        assert _lane_table(circuit) is None
+        assert bit_sliced_runs(circuit) == [circuit.gates]
         assert equivalent(circuit, Permutation([2, 3, 1, 0]))
+
+    def test_dense_non_palindromes_run_bit_sliced_whole(self):
+        # Like the benchmark's generated check files: 400 gates on 7 lines
+        # with at most three controls, so 8 to 64 swaps each.
+        rng = random.Random(7)
+        for _ in range(5):
+            gates = []
+            for _ in range(400):
+                target = rng.randint(1, 7)
+                others = [line for line in range(1, 8) if line != target]
+                chosen = rng.sample(others, rng.randint(0, 3))
+                gates.append(Gate("t", target, {line: rng.random() < 0.5 for line in chosen}))
+            circuit = Circuit(7, gates)
+            assert bit_sliced_runs(circuit) == [circuit.gates]
+
+    def test_a_v_circuit_sends_only_its_middle_bit_sliced(self):
+        rng = random.Random(10)
+        points = rng.sample(range(1 << 10), 2 * ((1 << 8) - 3))
+        p = Permutation.from_cycles(zip(points[::2], points[1::2]), 1 << 10)
+        circuit = build_v_circuit(p)
+        gates = circuit.gates
+        first = next(i for i, g in enumerate(gates) if g.kind != "t")
+        middle = gates[first : len(gates) - first]
+        # The v halves and the container gate between them.
+        turns = ["v"] * (len(middle) // 2)
+        assert [g.kind for g in middle] == [*turns, "t", *turns]
+        assert bit_sliced_runs(circuit) == [middle]
+        assert equivalent(circuit, p)
 
     @pytest.mark.parametrize("where", ["first", "centre", "last", "random"])
     def test_a_dropped_gate_is_caught_at_ten_lines(self, where):
@@ -514,8 +573,69 @@ class TestLaneSwaps:
         )
         del gates[i]
         dropped = Circuit(circuit.lines, gates)
-        assert _lane_table(dropped) is not None
+        assert bit_sliced_runs(dropped) == []
         assert not equivalent(dropped, p)
+
+
+@st.composite
+def half_turn_palindromes(draw):
+    """Palindromes L . m . L^-1 whose middle m holds v or v+ gates.
+
+    The flank L is a ``toffoli_circuits`` draw's gate list, on its lines and
+    with its ancilla mark.  One half of m opens with up to four plain NOTs,
+    each of which swaps half the states, so they can stop the lane run on
+    budget; then mixed gates from ``gate_lists``, with at least one half
+    turn.  A lone half turn, or a control read of a half-turned line,
+    fails the inputs it fires on.  The halves mirror around an optional
+    centre gate of any kind.
+    """
+    base = draw(toffoli_circuits())
+    lines = base.lines
+    nots = [Gate("t", draw(st.integers(1, lines))) for _ in range(draw(st.integers(0, 4)))]
+    turns = draw(
+        gate_lists(lines, max_gates=4).filter(lambda gs: any(g.kind != "t" for g in gs))
+    )
+    half = [*base.gates, *nots, *turns]
+    centre = draw(gate_lists(lines, max_gates=1))[:1]
+    return Circuit(lines, half + centre + half[::-1], base.ancilla)
+
+
+class TestHalfTurnPalindromes:
+    """The split into lane runs and a bit-sliced middle, against the
+    per-input oracle and against the whole circuit run bit-sliced."""
+
+    @given(half_turn_palindromes())
+    def test_matches_both_oracles(self, circuit):
+        states = 1 << circuit.lines
+        expected = oracle_outputs(circuit, range(states))
+        mask = sum(1 << x for x, y in enumerate(expected) if y is None)
+        hi, whole_failed = _simulate_columns(circuit.lines, circuit.gates)
+        whole = _words(hi, states)
+        outputs, failed = simulate_all(circuit)
+        assert failed == whole_failed == mask
+        for x, y in enumerate(expected):
+            if y is not None:
+                assert outputs[x] == whole[x] == y
+        check_equivalent(circuit)
+        if circuit.ancilla is not None:
+            check_equivalent_with_ancilla(circuit)
+
+    def test_draws_reach_every_split(self):
+        # The first draw each way will do; shrinking it would take seconds.
+        first = settings(phases=[Phase.generate], database=None)
+
+        def middle_only(c):
+            runs = bit_sliced_runs(c)
+            return len(runs) == 1 and len(runs[0]) < len(c)
+
+        for wanted in (
+            # A lane run on each side, and a middle that fails some inputs.
+            lambda c: middle_only(c) and 0 < simulate_all(c)[1] < (1 << (1 << c.lines)) - 1,
+            # A lane run stopped on budget, before any half turn.
+            lambda c: middle_only(c) and bit_sliced_runs(c)[0][0].kind == "t",
+            lambda c: middle_only(c) and c.ancilla is not None,
+        ):
+            find(half_turn_palindromes(), wanted, settings=first)
 
 
 def _bits(value, lines):
