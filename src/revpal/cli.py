@@ -188,7 +188,7 @@ def _cmd_census(args) -> int:
 
 
 def _format_bits(value: int, lines: int) -> str:
-    return "".join(str((value >> i) & 1) for i in range(lines))
+    return format(value, f"0{lines}b")[::-1]
 
 
 def _parse_bits(text: str, lines: int) -> int:
@@ -199,17 +199,20 @@ def _parse_bits(text: str, lines: int) -> int:
 
 def _cmd_simulate(args) -> int:
     circuit = _load_circuit(args.circuit)
-    # Rows pair an input with its output, or with None where the scalar
-    # semi-classical simulator must run: for --input, and for the inputs
-    # simulate_all marks as failing, whose exact error it reports.  On a
-    # Toffoli-only circuit it answers as the classical one does.
+    # Rows pair an input with its output word, or with the reason its
+    # semi-classical run fails.  --input runs the scalar
+    # simulate_semiclassical; --all reads every row, reasons too, from
+    # simulate_all's whole-table run.  On a Toffoli-only circuit both
+    # answer as the classical simulator does.
     if args.input is not None:
-        rows = [(_parse_bits(args.input, circuit.lines), None)]
+        x = _parse_bits(args.input, circuit.lines)
+        try:
+            rows = [(x, classical_readout(simulate_semiclassical(circuit, x)))]
+        except SimulationError as exc:
+            rows = [(x, str(exc))]
     elif args.all:
-        outputs, poisoned = simulate_all(circuit)
-        rows = [
-            (x, None if poisoned >> x & 1 else out) for x, out in enumerate(outputs)
-        ]
+        outputs, reasons = simulate_all(circuit)
+        rows = [(x, reasons.get(x, out)) for x, out in enumerate(outputs)]
     else:
         raise ValueError("need --input BITS or --all")
     semi = args.semiclassical or circuit.has_quantum_gates()
@@ -219,14 +222,12 @@ def _cmd_simulate(args) -> int:
     code = EXIT_OK
     for x, out in rows:
         bits = _format_bits(x, circuit.lines)
-        try:
-            if out is None:
-                out = classical_readout(simulate_semiclassical(circuit, x))
-            print(f"{bits} -> {_format_bits(out, circuit.lines)}")
-        except SimulationError as exc:
+        if isinstance(out, str):
             print(f"{bits} -> non-classical")
-            print(f"input {bits}: {exc}", file=sys.stderr)
+            print(f"input {bits}: {out}", file=sys.stderr)
             code = EXIT_NONCLASSICAL
+        else:
+            print(f"{bits} -> {_format_bits(out, circuit.lines)}")
     return code
 
 

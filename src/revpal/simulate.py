@@ -37,6 +37,13 @@ gates between the two runs, the middle, are left: lane swaps run it if
 they take it whole, and the bit-sliced evaluator otherwise.  A circuit
 that is not a palindrome is all middle.
 
+The bit-sliced evaluator also records how each lane first fails: the
+line and cell of a control read of a half-turned cell, or else its cells
+at the end.  ``simulate_all`` words each failing input's reason from that
+record, as the per-input oracles word their error, so ``revpal simulate
+--all`` runs no input alone; a palindrome whose middle fails takes one
+more bit-sliced run, of the whole circuit.
+
 ``simulate_all`` is limited to ``MAX_LINES`` = 16 lines, the largest
 permutation degree; ``equivalent_with_ancilla`` runs one line more.
 """
@@ -52,6 +59,8 @@ __all__ = [
     "simulate_semiclassical",
     "truth_table",
 ]
+
+from itertools import compress
 
 from .circuits import Circuit, set_bits
 from .perm import MAX_LINES, Permutation
@@ -82,6 +91,14 @@ def simulate_classical(circuit: Circuit, x: int) -> int:
     return x
 
 
+def _read_failure(line: int, cell: int) -> str:
+    return f"control on line x{line} read while non-classical (cell={cell})"
+
+
+def _state_failure(cells) -> str:
+    return f"non-classical state, cells={list(cells)}"
+
+
 def simulate_semiclassical(circuit: Circuit, x: int) -> tuple[int, ...]:
     """Run any circuit on a classical input; returns the per-line cells mod 4."""
     if not 0 <= x < 1 << circuit.lines:
@@ -92,10 +109,7 @@ def simulate_semiclassical(circuit: Circuit, x: int) -> tuple[int, ...]:
         half_turned = gate.care & ones
         if half_turned:
             line = (half_turned & -half_turned).bit_length()
-            cell = 2 * (twos >> (line - 1) & 1) + 1
-            raise SimulationError(
-                f"control on line x{line} read while non-classical (cell={cell})"
-            )
+            raise SimulationError(_read_failure(line, 2 * (twos >> (line - 1) & 1) + 1))
         if gate.fires(twos):
             bit = 1 << (gate.target - 1)
             cell = (2 * bool(twos & bit) + bool(ones & bit) + _KIND_DELTA[gate.kind]) % 4
@@ -111,7 +125,7 @@ def is_classical(cells: tuple[int, ...]) -> bool:
 def classical_readout(cells: tuple[int, ...]) -> int:
     """Collapse an all-classical cell vector back to an n-bit word."""
     if not is_classical(cells):
-        raise SimulationError(f"non-classical state, cells={list(cells)}")
+        raise SimulationError(_state_failure(cells))
     return sum((c // 2) << i for i, c in enumerate(cells))
 
 
@@ -133,19 +147,22 @@ def _input_columns(lines: int) -> list[int]:
     return columns
 
 
-def _simulate_columns(lines: int, gates) -> tuple[list[int], int]:
+def _simulate_columns(lines: int, gates) -> tuple[list[int], int, list[int], list]:
     """Run ``gates`` on all 2**lines inputs at once, one bit lane per input.
 
-    Returns the output columns and the mask of lanes where the
-    semi-classical model fails: a control read of a half-rotated cell, or a
-    half-rotated cell at the end.  Those lanes are exactly the inputs on
-    which ``simulate_semiclassical`` or ``classical_readout`` raises, and
-    their output bits are meaningless.
+    Returns the output columns ``hi``, the mask of lanes where the
+    semi-classical model fails, the final half-turn columns ``lo``, and
+    ``reads``: a ``(line, cell, lanes)`` triple for the lanes whose first
+    failure is a control read of that line in that cell.  The other
+    failing lanes end with a half-rotated cell.  Those lanes are exactly
+    the inputs on which ``simulate_semiclassical`` or ``classical_readout``
+    raises, and their output bits are meaningless.
     """
     hi = _input_columns(lines)
     lo = [0] * lines
     full = (1 << (1 << lines)) - 1
-    turned = poisoned = 0  # turned: the lines some v or v+ has targeted
+    turned = failed = 0  # turned: the lines some v or v+ has targeted
+    reads = []
     for gate in gates:
         # The control test x & care == value, lane-wise: the positive
         # controls (value) read 1 and the negative ones (care ^ value) read 0.
@@ -156,11 +173,14 @@ def _simulate_columns(lines: int, gates) -> tuple[list[int], int]:
         for i in set_bits(gate.care ^ gate.value):
             blocked |= hi[i]
         fire &= ~blocked
-        # Lanes that read a control while its cell is half-turned fail; lo is
-        # 0 on every line that no v or v+ has targeted.
+        # Lanes that read a control while its cell is half-turned fail, at
+        # the lowest such line; lo is 0 on every line no v or v+ targeted.
         if gate.care & turned:
             for i in set_bits(gate.care & turned):
-                poisoned |= lo[i]
+                new = lo[i] & ~failed
+                if new:
+                    failed |= new
+                    reads += (i + 1, 1, new & ~hi[i]), (i + 1, 3, new & hi[i])
         t = gate.target - 1
         if gate.kind == "t":
             hi[t] ^= fire
@@ -172,17 +192,44 @@ def _simulate_columns(lines: int, gates) -> tuple[list[int], int]:
             hi[t] ^= ~lo[t] & fire
         lo[t] ^= fire
     for plane in lo:
-        poisoned |= plane
-    return hi, poisoned
+        failed |= plane
+    return hi, failed, lo, reads
 
 
 def _words(columns: list[int], width: int) -> list[int]:
     """One word per lane: bit i of word x is bit x of column i."""
     words = [0] * width
     for i, column in enumerate(columns):
-        bits = format(column, f"0{width}b").encode().translate(_ASCII_BIT)[::-1]
-        words = [w | b << i for w, b in zip(words, bits)]
+        words = [w | b << i for w, b in zip(words, _lane_bits(column, width))]
     return words
+
+
+def _lane_bits(mask: int, width: int) -> bytes:
+    """Bit x of ``mask`` as byte x, 0 or 1."""
+    return format(mask, f"0{width}b").encode().translate(_ASCII_BIT)[::-1]
+
+
+def _reasons(lines: int, hi, failed, lo, reads) -> dict[int, str]:
+    """Why each failing lane of a ``_simulate_columns`` run fails.
+
+    The text is that of the ``SimulationError`` which
+    ``simulate_semiclassical`` or ``classical_readout`` raises on it.
+    """
+    states = 1 << lines
+
+    def lanes(mask):
+        return compress(range(states), _lane_bits(mask, states))
+
+    reasons = {}
+    for line, cell, mask in reads:
+        reasons.update(dict.fromkeys(lanes(mask), _read_failure(line, cell)))
+        failed &= ~mask
+    if failed:
+        # Bits 2i and 2i + 1 of a lane's word are line x(i+1)'s lo and hi.
+        words = _words([plane for pair in zip(lo, hi) for plane in pair], states)
+        for x in lanes(failed):
+            reasons[x] = _state_failure([words[x] >> 2 * i & 3 for i in range(lines)])
+    return reasons
 
 
 #: Lane swaps a lane run may spend per gate, on top of half the states;
@@ -219,7 +266,7 @@ def _swap_lanes(gates, states: int) -> tuple[list[int], int]:
     return inv, len(gates)
 
 
-def _outputs(circuit: Circuit) -> tuple[list[int], int]:
+def _outputs(circuit: Circuit) -> tuple[list[int], int, tuple | None]:
     """The output word of every input, and the mask of inputs whose run fails.
 
     The one choice of evaluator; failing inputs' words are meaningless.  A
@@ -227,7 +274,8 @@ def _outputs(circuit: Circuit) -> tuple[list[int], int]:
     closes with the mirror run, which computes L^-1; any other circuit has
     no such runs.  The gates between them, the middle M, run by lane swaps
     if those take M whole, bit-sliced otherwise.  Input x then ends as
-    L^-1(M(L(x))), and fails where M fails on L(x).
+    L^-1(M(L(x))), and fails where M fails on L(x).  Third comes what
+    ``_simulate_columns`` returned if it ran the whole circuit, else None.
     """
     states = 1 << circuit.lines
     gates = circuit.gates
@@ -235,37 +283,48 @@ def _outputs(circuit: Circuit) -> tuple[list[int], int]:
     left, k = _swap_lanes(gates[: len(gates) // 2 if palindrome else 0], states)
     middle = gates[k : len(gates) - k]
     inv, ran = _swap_lanes(middle, states)
+    run = None
     if ran == len(middle):
         # A palindrome of self-inverse gates computes an involution, so its
         # inverse table is also its forward table.
         outputs = inv if palindrome else sorted(range(states), key=inv.__getitem__)
         failed = 0
     else:
-        hi, failed = _simulate_columns(circuit.lines, middle)
+        run = _simulate_columns(circuit.lines, middle)
+        hi, failed = run[:2]
         outputs = _words(hi, states)
     if not k:
-        return outputs, failed
+        return outputs, failed, run
     # L's forward table: L(x) is the state whose entry is x.
     forward = sorted(range(states), key=left.__getitem__)
     outputs = list(map(left.__getitem__, map(outputs.__getitem__, forward)))
     if failed:  # bit x of the input mask is bit L(x) of the middle's
         bits = format(failed, f"0{states}b")[::-1]
         failed = int("".join(map(bits.__getitem__, forward))[::-1], 2)
-    return outputs, failed
+    return outputs, failed, None
 
 
-def simulate_all(circuit: Circuit) -> tuple[list[int], int]:
+def simulate_all(circuit: Circuit) -> tuple[list[int], dict[int, str]]:
     """Outputs for every input word, in the semi-classical model.
 
-    Returns the output word of each input and the mask of inputs whose run
-    fails (see ``_simulate_columns``); those inputs' words are meaningless.
+    Returns the output word of each input, and for each input whose run
+    fails the text of the ``SimulationError`` that ``simulate_semiclassical``
+    or ``classical_readout`` raises on it; those inputs' words are
+    meaningless.
     """
     if circuit.lines > MAX_LINES:
         raise ValueError(
             f"cannot run all inputs of a circuit on {circuit.lines} lines "
             f"(at most {MAX_LINES})"
         )
-    return _outputs(circuit)
+    outputs, failed, run = _outputs(circuit)
+    if not failed:
+        return outputs, {}
+    if run is None:
+        # Only the middle ran bit-sliced, and the right run may yet read a
+        # line the middle left half-turned: run the whole circuit once.
+        run = _simulate_columns(circuit.lines, circuit.gates)
+    return outputs, _reasons(circuit.lines, *run)
 
 
 def truth_table(circuit: Circuit) -> Permutation:
@@ -285,7 +344,7 @@ def equivalent(circuit: Circuit, p: Permutation) -> bool:
         raise ValueError(
             f"circuit on {circuit.lines} lines cannot match degree {p.degree}"
         )
-    outputs, failed = _outputs(circuit)
+    outputs, failed, _ = _outputs(circuit)
     return not failed and tuple(outputs) == p.image
 
 
@@ -302,7 +361,7 @@ def equivalent_with_ancilla(circuit: Circuit, p: Permutation) -> bool:
             f"circuit on {circuit.lines} lines with one ancilla cannot match degree {p.degree}"
         )
     a = circuit.ancilla - 1
-    outputs, failed = _outputs(circuit)
+    outputs, failed, _ = _outputs(circuit)
     # A failed input counts only with the ancilla at 0.
     if failed and failed & ~_input_columns(circuit.lines)[a]:
         return False

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from revpal import simulate
+from revpal import cli, simulate
 from revpal.alternatives import build_ancilla_circuit, build_v_circuit
 from revpal.circuits import Circuit, Gate, serialize_circuit
 from revpal.cli import main
@@ -480,12 +480,12 @@ class TestLaneSwaps:
     def test_lane_table_matches_both_oracles(self, circuit):
         inputs = range(1 << circuit.lines)
         expected = [simulate_classical(circuit, x) for x in inputs]
-        hi, failed = _simulate_columns(circuit.lines, circuit.gates)
-        assert (_words(hi, len(inputs)), failed) == (expected, 0)
+        hi, failed, _, reads = _simulate_columns(circuit.lines, circuit.gates)
+        assert (_words(hi, len(inputs)), failed, reads) == (expected, 0, [])
         inv, ran = _swap_lanes(circuit.gates, len(inputs))
         if ran == len(circuit):
             assert sorted(inputs, key=inv.__getitem__) == expected
-        assert simulate_all(circuit) == (expected, 0)
+        assert simulate_all(circuit) == (expected, {})
         assert truth_table(circuit) == Permutation(expected)
 
     @given(toffoli_circuits())
@@ -609,10 +609,10 @@ class TestHalfTurnPalindromes:
         states = 1 << circuit.lines
         expected = oracle_outputs(circuit, range(states))
         mask = sum(1 << x for x, y in enumerate(expected) if y is None)
-        hi, whole_failed = _simulate_columns(circuit.lines, circuit.gates)
+        hi, whole_failed, *_ = _simulate_columns(circuit.lines, circuit.gates)
         whole = _words(hi, states)
-        outputs, failed = simulate_all(circuit)
-        assert failed == whole_failed == mask
+        outputs, reasons = simulate_all(circuit)
+        assert sum(1 << x for x in reasons) == whole_failed == mask
         for x, y in enumerate(expected):
             if y is not None:
                 assert outputs[x] == whole[x] == y
@@ -630,12 +630,54 @@ class TestHalfTurnPalindromes:
 
         for wanted in (
             # A lane run on each side, and a middle that fails some inputs.
-            lambda c: middle_only(c) and 0 < simulate_all(c)[1] < (1 << (1 << c.lines)) - 1,
+            lambda c: middle_only(c) and 0 < len(simulate_all(c)[1]) < 1 << c.lines,
             # A lane run stopped on budget, before any half turn.
             lambda c: middle_only(c) and bit_sliced_runs(c)[0][0].kind == "t",
             lambda c: middle_only(c) and c.ancilla is not None,
         ):
             find(half_turn_palindromes(), wanted, settings=first)
+
+
+def oracle_reasons(circuit):
+    """The ``SimulationError`` text of each input the per-input oracle fails."""
+    reasons = {}
+    for x in range(1 << circuit.lines):
+        try:
+            classical_readout(simulate_semiclassical(circuit, x))
+        except SimulationError as exc:
+            reasons[x] = str(exc)
+    return reasons
+
+
+class TestFailureReasons:
+    """``simulate_all`` words each failing input's reason from its
+    whole-table run, as the per-input oracle words the error it raises."""
+
+    @given(circuits())
+    def test_match_the_oracle(self, circuit):
+        assert simulate_all(circuit)[1] == oracle_reasons(circuit)
+
+    @given(half_turn_palindromes())
+    def test_match_the_oracle_on_half_turn_palindromes(self, circuit):
+        assert simulate_all(circuit)[1] == oracle_reasons(circuit)
+
+    def test_draws_reach_a_read_in_the_right_run(self):
+        # A middle that leaves a line half-turned, and no control read
+        # fails until the right run reads that line.
+        def reads(lines, gates):
+            return any(lanes for *_, lanes in _simulate_columns(lines, gates)[3])
+
+        def right_run_reads(c):
+            runs = bit_sliced_runs(c)
+            return (
+                len(runs) == 1
+                and len(runs[0]) < len(c)
+                and reads(c.lines, c.gates)
+                and not reads(c.lines, runs[0])
+            )
+
+        first = settings(phases=[Phase.generate], database=None)
+        find(half_turn_palindromes(), right_run_reads, settings=first)
 
 
 def _bits(value, lines):
@@ -680,3 +722,45 @@ class TestSimulateAllCommand:
         err_lines = err.getvalue().splitlines()
         assert err_lines[-1].startswith("time: ")
         assert (code, out.getvalue(), err_lines[:-1]) == expected
+
+
+def failing_palindrome(where):
+    """An n=8 ``build_palindrome`` circuit that fails on every input.
+
+    ``appended``: with ``v x1`` after it, so every input ends half-turned.
+    ``centre``: its centre gate replaced by three ``v x1``, so the middle
+    leaves x1 half-turned and the right run reads it.
+    """
+    rng = random.Random(8)
+    points = rng.sample(range(1 << 8), 2 * (1 << 6))
+    p = Permutation.from_cycles(zip(points[::2], points[1::2]), 1 << 8)
+    gates = build_palindrome(p).gates
+    if where == "appended":
+        return Circuit(8, [*gates, Gate("v", 1)])
+    half = len(gates) // 2
+    return Circuit(8, [*gates[:half], *[Gate("v", 1)] * 3, *gates[half + 1 :]])
+
+
+class TestNoScalarReruns:
+    @pytest.mark.parametrize("where", ["appended", "centre"])
+    def test_all_reads_every_reason_from_the_whole_table_run(self, tmp_path, monkeypatch, where):
+        circuit = failing_palindrome(where)
+        path = tmp_path / "c.rev"
+        path.write_text(serialize_circuit(circuit))
+        expected = scalar_transcript(circuit, str(path), True)
+        assert len(expected[2]) == 256
+
+        def refuse(circuit, x):
+            raise AssertionError("simulate_semiclassical ran")
+
+        monkeypatch.setattr(simulate, "simulate_semiclassical", refuse)
+        monkeypatch.setattr(cli, "simulate_semiclassical", refuse)
+        argv = ["simulate", "--circuit", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--all"])
+        err_lines = err.getvalue().splitlines()
+        assert err_lines[-1].startswith("time: ")
+        assert (code, out.getvalue(), err_lines[:-1]) == expected
+        with pytest.raises(AssertionError, match="simulate_semiclassical ran"):
+            main([*argv, "--input", "0" * 8])
