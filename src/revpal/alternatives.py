@@ -7,7 +7,11 @@ with 2**k transpositions (2**(k-1) < s < 2**k) nearest the involution,
 keep the s of its transpositions that the involution's pairs match as the
 conjugated core, and cancel the surplus ones.  ``synth._embedding``, which
 also serves the odd palindrome, picks gate, core and conjugator in one
-place, from one matching.
+place, from one matching.  The builders work from its rows and the
+conjugator's cycles: the surplus is the gate's pairs outside the core, and
+each surplus gate is made from its pair's endpoints, so no builder holds a
+permutation of all 2**n points.  ``decompose`` builds those permutations
+for callers that want the embedding as a record.
 
 * The ancilla construction evaluates "core fires" into an extra
   zero-initialized line, copies it onto the target with one CNOT, then
@@ -30,7 +34,7 @@ __all__ = [
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate
-from .gates import MpmctGate, transposition_gate
+from .gates import MpmctGate
 from .perm import Permutation, lines_for_degree
 from .synth import NEEDS_ALTERNATIVE, _embedding, _palindrome, classify
 
@@ -62,25 +66,36 @@ def decompose(p: Permutation) -> TargetDecomposition:
     of two.  Gate, core and conjugator are ``synth._embedding``'s: the
     container is ``nearest_gate`` with ``2**k`` pairs, and the core the
     ``s`` pairs of it that ``p``'s pairs match, nearest first, so the
-    conjugator moves few points.
+    conjugator moves few points.  The builders do not call this.
+    """
+    gate, rows, sigma, surplus = _container(p, "decompose")
+    perms = (Permutation.from_cycles(c, p.degree) for c in ([r[:2] for r in rows], surplus, sigma))
+    return TargetDecomposition(gate, gate.permutation(), *perms, len(rows).bit_length())
+
+
+def _container(p: Permutation, construction: str):
+    """``_embedding``'s gate, rows and conjugator cycles for ``p``, and the surplus pairs, sorted.
+
+    ``construction`` names the caller in the error for an input whose
+    transposition count is a power of two, or that is no involution.
     """
     c = classify(p)
     if c.kind != NEEDS_ALTERNATIVE:
-        raise ValueError(
-            f"decompose applies to involutions of non-power-of-two size, got {c.kind!r}"
-        )
-    gate, inner, sigma = _embedding(p, lines_for_degree(p.degree))
-    ts = gate.transpositions()
-    surplus = Permutation.from_cycles(ts - inner.transpositions(), p.degree)
-    gate_perm = Permutation.from_cycles(ts, p.degree)
-    return TargetDecomposition(gate, gate_perm, inner, surplus, sigma, c.size.bit_length())
+        got = "no involution" if c.size is None else f"{c.size} transposition" + "s" * (c.size != 1)
+        raise ValueError(f"{construction} needs an involution whose transposition count "
+                         f"is not a power of two, got {got}")
+    gate, rows, sigma = _embedding(p, lines_for_degree(p.degree))
+    return gate, rows, sigma, sorted(gate.transpositions() - {tuple(sorted(r[:2])) for r in rows})
 
 
-def _surplus_gates(d: TargetDecomposition, kind: str, target: int) -> list[Gate]:
-    """One fully controlled ``kind`` gate on ``target`` per surplus pair."""
-    n = d.gate.lines
-    swaps = (transposition_gate(a, b, n) for a, b in sorted(d.surplus.transpositions()))
-    return [Gate._from_masks(kind, target, g.care, g.value) for g in swaps]
+def _surplus_gates(surplus, n: int, kind: str, target: int) -> list[Gate]:
+    """One fully controlled ``kind`` gate on ``target`` per surplus pair ``(a, b)``.
+
+    Its controls are the n - 1 lines on which a and b agree, each at the
+    value the two share there.
+    """
+    full = (1 << n) - 1
+    return [Gate._from_masks(kind, target, full ^ a ^ b, a & b) for a, b in surplus]
 
 
 def build_ancilla_circuit(p: Permutation) -> Circuit:
@@ -91,13 +106,12 @@ def build_ancilla_circuit(p: Permutation) -> Circuit:
     ancilla onto the container gate's target; everything else mirrors
     around it, so the length is odd.
     """
-    d = decompose(p)
-    n = d.gate.lines
-    anc = n + 1
-    compute = _surplus_gates(d, "t", anc)
-    compute.append(Gate._from_masks("t", anc, d.gate.care, d.gate.value))
-    cnot = Gate("t", d.gate.target, {anc: True})
-    return _palindrome(d.conjugator, compute, cnot, n + 1, anc)
+    gate, _, sigma, surplus = _container(p, "the ancilla construction")
+    anc = gate.lines + 1
+    compute = _surplus_gates(surplus, gate.lines, "t", anc)
+    compute.append(Gate._from_masks("t", anc, gate.care, gate.value))
+    cnot = Gate("t", gate.target, {anc: True})
+    return _palindrome(sigma, gate.lines, compute, cnot, anc)
 
 
 def build_v_circuit(p: Permutation) -> Circuit:
@@ -109,6 +123,6 @@ def build_v_circuit(p: Permutation) -> Circuit:
     palindromic.  Semi-classically, every classical input maps to the
     classical output ``p(x)``.
     """
-    d = decompose(p)
-    halves = _surplus_gates(d, "v", d.gate.target)
-    return _palindrome(d.conjugator, halves, d.gate.circuit_gate(), d.gate.lines)
+    gate, _, sigma, surplus = _container(p, "the v-gate construction")
+    halves = _surplus_gates(surplus, gate.lines, "v", gate.target)
+    return _palindrome(sigma, gate.lines, halves, gate.circuit_gate())

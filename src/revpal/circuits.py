@@ -121,11 +121,17 @@ def _control_masks(pairs, target: int) -> tuple[int, int]:
     return care, value
 
 
+# The slots' own setters, which a frozen gate's __setattr__ does not go
+# through; bound once, they cost about two thirds of object.__setattr__.
+_set_kind, _set_target = Gate.kind.__set__, Gate.target.__set__
+_set_care, _set_value = Gate.care.__set__, Gate.value.__set__
+
+
 def _fill(gate: Gate, kind: str, target: int, care: int, value: int) -> Gate:
-    object.__setattr__(gate, "kind", kind)
-    object.__setattr__(gate, "target", target)
-    object.__setattr__(gate, "care", care)
-    object.__setattr__(gate, "value", value)
+    _set_kind(gate, kind)
+    _set_target(gate, target)
+    _set_care(gate, care)
+    _set_value(gate, value)
     return gate
 
 

@@ -79,11 +79,22 @@ class MpmctGate(Gate, _Swaps):
         Gate.__init__(self, "t", target, controls)
         if self.max_line() > lines:
             raise ValueError(f"line x{self.max_line()} out of range 1..{lines}")
-        object.__setattr__(self, "lines", lines)
+        _set_lines(self, lines)
 
     @property
     def num_controls(self) -> int:
         return self.care.bit_count()
+
+    def transpositions(self) -> frozenset[Transposition]:
+        """The pairs ``(x, x | target bit)``, one per assignment of the free lines.
+
+        Only the pairs are walked: no input outside them is looked at.
+        """
+        bit = 1 << (self.target - 1)
+        starts = [self.value]  # doubled by each free line, lowest first
+        for i in set_bits(((1 << self.lines) - 1) ^ self.care ^ bit):
+            starts += [x | 1 << i for x in starts]
+        return frozenset((x, x | bit) for x in starts)
 
     def __repr__(self) -> str:
         ctrl = ", ".join(("x" if pol else "-x") + str(line) for line, pol in self.controls)
@@ -93,10 +104,13 @@ class MpmctGate(Gate, _Swaps):
         return Gate._from_masks("t", self.target, self.care, self.value)
 
 
+_set_lines = MpmctGate.lines.__set__
+
+
 def _mpmct(lines: int, target: int, care: int, value: int) -> MpmctGate:
     """An unchecked MpmctGate, like ``Gate._from_masks``."""
     gate = MpmctGate._from_masks("t", target, care, value)
-    object.__setattr__(gate, "lines", lines)
+    _set_lines(gate, lines)
     return gate
 
 
@@ -233,12 +247,13 @@ def nearest_gate(transpositions: Iterable[Transposition], n: int, free: int) -> 
     endpoints = [v for ab in ts for v in ab]
     full = (1 << n) - 1
     best = (-1, 0, 0)
-    for controls in combinations(range(n), n - 1 - free):
-        care = sum(1 << line for line in controls)
-        # The most common corner of the endpoints projected onto the controls.
-        [(value, hits)] = Counter(map(care.__and__, endpoints)).most_common(1)
+    for care in map(sum, combinations([1 << line for line in range(n)], n - 1 - free)):
+        # The most common corner of the endpoints projected onto the controls,
+        # the first one seen among equals; found only when it beats the best.
+        corners = Counter(map(care.__and__, endpoints))
+        hits = max(corners.values())
         if hits > best[0]:
-            best = (hits, care, value)
+            best = (hits, care, max(corners, key=corners.__getitem__))
     _, care, value = best
     span = full ^ care
     shared = Counter(a ^ b for a, b in ts if a & care == value)

@@ -161,21 +161,7 @@ class Permutation:
         Each cycle starts at its minimum element; cycles are sorted by
         decreasing length, ties broken by increasing first element.
         """
-        seen = [False] * self.degree
-        out: list[tuple[int, ...]] = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            x = self._image[start]
-            while x != start:
-                cycle.append(x)
-                seen[x] = True
-                x = self._image[x]
-            out.append(tuple(cycle))
-        out.sort(key=lambda c: (-len(c), c[0]))
-        return tuple(out)
+        return _cycles(self._image, range(self.degree))
 
     def cycle_type(self) -> tuple[int, ...]:
         """Cycle lengths in non-increasing order: an integer partition of the degree."""
@@ -248,13 +234,15 @@ def find_conjugator(p: Permutation, q: Permutation) -> Permutation:
     Hamming distance.  Every other cycle type is matched cycle by cycle,
     element by element, in canonical cycle form.  The builders do not call
     this: ``synth._embedding`` picks their gate and core by the same
-    matching and reads the conjugator from its rows, matching once.
+    matching and reads the conjugator's cycles from its rows, matching
+    once, so no builder holds sigma as a permutation of every point.
     """
     if p.degree == q.degree and p.is_involution() and q.is_involution():
         p_pairs, q_pairs = p.transpositions(), q.transpositions()
         if len(p_pairs) == len(q_pairs):
             lines = (p.degree - 1).bit_length()
-            return _nearest_conjugator(p, q, match_pairs(p_pairs, q_pairs, lines))
+            rows = match_pairs(p_pairs, q_pairs, lines)
+            return Permutation.from_cycles(_nearest_conjugator(p_pairs, rows, lines), p.degree)
     p_cycles, q_cycles = p.cycles(), q.cycles()
     # Canonical cycles come longest first, so their lengths are the cycle type.
     p_type, q_type = tuple(map(len, p_cycles)), tuple(map(len, q_cycles))
@@ -307,33 +295,53 @@ def match_pairs(
     raise ValueError("fewer pairs to match onto than to match")
 
 
-def _nearest_conjugator(p, q, rows) -> Permutation:
-    """``find_conjugator`` for two involutions whose pairs ``rows`` matched.
+def _nearest_conjugator(p_pairs, rows, lines: int) -> tuple[tuple[int, ...], ...]:
+    """``find_conjugator``'s sigma for two involutions, as the cycles it moves.
 
-    ``rows`` are ``match_pairs``' rows for the pairs of ``p`` onto those of
-    ``q``; the caller matches, so a caller that chose ``q`` by that very
-    matching does not match twice.
+    ``rows`` are ``match_pairs``' rows for ``p_pairs`` onto the pairs of
+    q; the caller matches, so a caller that chose q by that very matching
+    does not match twice.  Only the pairs' endpoints are read: a point no
+    pair of p and no row holds is a fixpoint of sigma.  The cycles come in
+    ``Permutation.cycles`` order.
     """
-    lines = (p.degree - 1).bit_length()
-    pi, qi = p.image, q.image
-    image = list(range(p.degree))
-    heads = set()
+    moved = {v for ab in p_pairs for v in ab}  # the points p moves
+    core = {v for row in rows for v in row[:2]}  # the points q moves
+    image = {}
     for a, b, c, d in rows:
         image[a], image[b] = c, d
         # A step h -> x from a fixpoint of p to a fixpoint of q closes into
         # the 2-cycle (h x), whose second step the flank gets for free.
         for h, x in ((a, c), (b, d)):
-            if pi[h] == h and qi[x] == x:
+            if h not in moved and x not in core:
                 image[x] = h
-                heads.add(h)
-    # The other fixpoints of q that p moves go to the nearest free
-    # fixpoints of p that q moves, each matched as a pair of one point.
-    points = range(p.degree)
-    p_points = [(y, y) for y in points if pi[y] == y != qi[y] and y not in heads]
-    q_points = [(x, x) for x in points if qi[x] == x == image[x] != pi[x]]
-    for a, _, c, _ in match_pairs(p_points, q_points, lines):
-        image[a] = c
-    return Permutation(image)
+    # The other fixpoints of q that p moves go to the nearest fixpoints of
+    # p that q moves and no step reaches yet, each matched as a pair of one
+    # point.
+    p_points = [(y, y) for y in core.difference(moved, image.values())]
+    q_points = [(x, x) for x in moved.difference(core, image)]
+    image.update((a, c) for a, _, c, _ in match_pairs(p_points, q_points, lines))
+    return _cycles(image, sorted(x for x, y in image.items() if x != y))
+
+
+def _cycles(image, points) -> tuple[tuple[int, ...], ...]:
+    """The cycles of ``image`` through ``points``, in canonical form.
+
+    ``image`` maps each point to its image, as a one-line tuple or a dict
+    of moved points; ``points`` come in increasing order, so each cycle
+    starts at its minimum element.  Cycles are sorted by decreasing
+    length, ties broken by increasing first element.
+    """
+    seen, out = set(), []
+    for start in points:
+        if start in seen:
+            continue
+        cycle, x = [start], image[start]
+        while x != start:
+            cycle.append(x)
+            x = image[x]
+        seen.update(cycle)
+        out.append(tuple(cycle))
+    return tuple(sorted(out, key=lambda c: (-len(c), c[0])))
 
 
 @functools.lru_cache(maxsize=None)
@@ -408,10 +416,9 @@ def one_line(p: Permutation) -> str:
 
 def cycle_string(p: Permutation) -> str:
     """Cycle text form with fixpoints omitted; ``"()"`` for the identity."""
-    parts = [
-        "(" + " ".join(str(x) for x in c) + ")" for c in p.cycles() if len(c) > 1
-    ]
-    return "".join(parts) if parts else "()"
+    # An involution's sorted pairs are its non-trivial cycles, in order.
+    cycles = sorted(p.transpositions()) if p.is_involution() else p.cycles()
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles if len(c) > 1) or "()"
 
 
 def _parse_int(token: str, entry: int) -> int:

@@ -10,7 +10,11 @@ nearest the involution and the conjugator a nearest matching.  Involutions
 with any other transposition count admit no such circuit on n lines;
 :mod:`revpal.alternatives` covers them.  One function, ``_embedding``,
 picks the gate, the core and the conjugator for all three builders, and
-matches the involution's pairs onto the gate's once.
+matches the involution's pairs onto the gate's once.  The conjugator
+moves only points that the involution or its gate moves, so it is read
+from the matching's rows as the cycles it moves, and the flank is built
+from those cycles: no builder builds or scans a permutation of all 2**n
+points on its way to the circuit.
 """
 
 from __future__ import annotations
@@ -99,13 +103,13 @@ def synthesize_permutation(p: Permutation) -> Circuit:
     attempt at minimality.
     """
     n = lines_for_degree(p.degree)
-    return Circuit(n, _chain_gates(p, n))
+    return Circuit(n, _chain_gates(p.cycles(), n))
 
 
-def _chain_gates(p: Permutation, n: int) -> list[Gate]:
-    """``synthesize_permutation``'s gates, each valid on ``n`` lines."""
+def _chain_gates(cycles, n: int) -> list[Gate]:
+    """``synthesize_permutation``'s gates for ``cycles``, each valid on ``n`` lines."""
     gates: list[Gate] = []
-    for cycle in p.cycles():
+    for cycle in cycles:
         # (i1 .. im) = t(i1 i2) . t(i2 i3) . ... applied right to left, so
         # the circuit emits the chains in reverse factor order.
         for j in range(len(cycle) - 1, 0, -1):
@@ -131,33 +135,36 @@ def build_palindrome(p: Permutation) -> Circuit:
             f"no odd palindromic circuit on {n} lines exists for kind {c.kind!r}"
         )
     gate, _, sigma = _embedding(p, n)
-    return _palindrome(sigma, [], gate.circuit_gate(), n)
+    return _palindrome(sigma, n, [], gate.circuit_gate())
 
 
-def _embedding(p: Permutation, n: int) -> tuple[MpmctGate, Permutation, Permutation]:
-    """The gate, core and conjugator that embed the involution ``p`` on n lines.
+def _embedding(p: Permutation, n: int) -> tuple[MpmctGate, list, tuple]:
+    """The gate, matching rows and conjugator that embed the involution ``p`` on n lines.
 
     The gate is the one with ``2**ceil(log2 s)`` pairs nearest ``p``'s s
-    pairs (``nearest_gate``); ``match_pairs`` sends ``p``'s pairs onto s
-    of its pairs, the core, nearest first; and the conjugator, read from
-    that one matching, satisfies p = conjugator . core . conjugator^-1.
-    When s is a power of two the core is the whole gate.
+    pairs (``nearest_gate``).  ``match_pairs`` sends ``p``'s pairs onto s
+    of its pairs, the core, nearest first: a row ``(a, b, c, d)`` holds a
+    core pair ``(a, b)`` and the pair ``(c, d)`` of ``p`` it goes to.  The
+    conjugator, read from those rows and given by the cycles it moves,
+    satisfies p = conjugator . core . conjugator^-1.  When s is a power
+    of two the core is the whole gate.  Nothing here builds or scans a
+    permutation of all 2**n points.
     """
     pairs = p.transpositions()
     gate = nearest_gate(pairs, n, (len(pairs) - 1).bit_length())
     rows = match_pairs(pairs, gate.transpositions(), n)
-    core = Permutation.from_cycles([row[:2] for row in rows], p.degree)
-    return gate, core, _nearest_conjugator(p, core, rows)
+    return gate, rows, _nearest_conjugator(pairs, rows, n)
 
 
-def _palindrome(sigma, half, centre, lines, ancilla=None) -> Circuit:
-    """``sigma``'s flank, then ``half``, mirrored around ``centre``.
+def _palindrome(sigma, n: int, half, centre, ancilla=None) -> Circuit:
+    """The flank of ``sigma``'s cycles on n lines, then ``half``, mirrored around ``centre``.
 
     All three builders end here, so every circuit they return is a
     palindrome by construction.  It is validated once, as a whole: the
-    flank comes as a gate list, not as a circuit of its own.
+    flank comes as a gate list, not as a circuit of its own.  The circuit
+    has n lines, or n + 1 with ``ancilla``, the line n + 1.
     """
     # Gates run left to right, so the mirror of the sigma-flank comes first:
     # the cascade computes sigma . (half, centre, half mirrored) . sigma^-1.
-    left = _chain_gates(sigma, lines_for_degree(sigma.degree))[::-1] + list(half)
-    return Circuit(lines, left + [centre] + left[::-1], ancilla)
+    left = _chain_gates(sigma, n)[::-1] + list(half)
+    return Circuit(n if ancilla is None else ancilla, left + [centre] + left[::-1], ancilla)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dense_reference import dense_nearest_conjugator
 from revpal.alternatives import (
     build_ancilla_circuit,
     build_v_circuit,
@@ -11,8 +12,8 @@ from revpal.alternatives import (
 )
 from revpal.census import iter_involutions
 from revpal.circuits import Circuit, Gate
-from revpal.gates import MpmctGate, nearest_gate
-from revpal.perm import Permutation, compose, find_conjugator
+from revpal.gates import MpmctGate, nearest_gate, transposition_gate
+from revpal.perm import Permutation, compose, conjugate, match_pairs
 from revpal.simulate import (
     classical_readout,
     equivalent,
@@ -21,7 +22,7 @@ from revpal.simulate import (
     simulate_semiclassical,
     truth_table,
 )
-from revpal.synth import _palindrome, build_palindrome, classify
+from revpal.synth import _embedding, build_palindrome, synthesize_permutation
 
 WORKED = Permutation.from_cycles([(0, 1), (3, 5), (2, 7)], 8)
 
@@ -255,8 +256,10 @@ def test_every_builder_output_is_an_odd_verified_palindrome(data):
 @given(st.data())
 def test_one_embedding_matches_the_two_step_recipe(data):
     # Oracle: the recipe from before the three builders shared one
-    # embedding.  Each chose its own gate, and find_conjugator matched p's
-    # pairs onto the core or the whole gate a second time.
+    # embedding and built from the points that move.  p's pairs are matched
+    # onto the core a second time, the conjugator is the dense one over
+    # every point, the flank comes from its cycles() over every point, and
+    # each surplus gate is the transposition_gate of its pair.
     n = data.draw(st.integers(min_value=1, max_value=8))
     power = n < 3 or data.draw(st.booleans())
     sizes = [s for s in range(1, (1 << (n - 1)) + 1) if (s & (s - 1) == 0) == power]
@@ -265,15 +268,88 @@ def test_one_embedding_matches_the_two_step_recipe(data):
     p = Permutation.from_transpositions(
         zip(points[0 : 2 * size : 2], points[1 : 2 * size : 2]), 1 << n
     )
-    c = classify(p)
+    pairs = p.transpositions()
+    gate = nearest_gate(pairs, n, (size - 1).bit_length())
+    gate_pairs = gate.permutation().transpositions()
+    core = Permutation.from_transpositions(
+        [row[:2] for row in match_pairs(pairs, gate_pairs, n)], 1 << n
+    )
+    sigma = dense_nearest_conjugator(p, core, match_pairs(pairs, core.transpositions(), n))
+    flank = synthesize_permutation(sigma).gates[::-1]
     if power:
-        g = nearest_gate(p.transpositions(), n, c.k - 1)
-        sigma = find_conjugator(p, g.permutation())
-        assert build_palindrome(p) == _palindrome(sigma, [], g.circuit_gate(), n)
-    else:
-        d = decompose(p)
-        assert d.gate == nearest_gate(p.transpositions(), n, c.size.bit_length())
-        assert d.conjugator == find_conjugator(p, d.inner)
+        centre = (gate.circuit_gate(),)
+        assert build_palindrome(p) == Circuit(n, flank + centre + flank[::-1])
+        return
+    swaps = [transposition_gate(a, b, n) for a, b in sorted(gate_pairs - core.transpositions())]
+    anc = n + 1
+    left = flank + tuple(Gate("t", anc, g.controls) for g in swaps + [gate])
+    cnot = (Gate("t", gate.target, {anc: True}),)
+    assert build_ancilla_circuit(p) == Circuit(n + 1, left + cnot + left[::-1], anc)
+    left = flank + tuple(Gate("v", gate.target, g.controls) for g in swaps)
+    centre = (gate.circuit_gate(),)
+    assert build_v_circuit(p) == Circuit(n, left + centre + left[::-1])
+
+
+@given(st.data())
+def test_the_conjugator_read_from_the_rows_matches_the_dense_one(data):
+    # Every size on 1..8 lines: the conjugator that _embedding reads from
+    # the pairs' endpoints equals the dense reference on every point, in
+    # cycles() order, and relabels the core into p.
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    size = data.draw(st.integers(min_value=1, max_value=1 << (n - 1)))
+    points = data.draw(st.permutations(list(range(1 << n))))
+    p = Permutation.from_transpositions(
+        zip(points[0 : 2 * size : 2], points[1 : 2 * size : 2]), 1 << n
+    )
+    _, rows, sigma = _embedding(p, n)
+    core = Permutation.from_transpositions([row[:2] for row in rows], 1 << n)
+    dense = dense_nearest_conjugator(p, core, rows)
+    assert sigma == tuple(c for c in dense.cycles() if len(c) > 1)
+    assert Permutation.from_cycles(sigma, 1 << n) == dense
+    assert conjugate(dense, core) == p
+
+
+def test_sixteen_line_builds_use_only_the_points_that_move(monkeypatch):
+    # Between _embedding and the returned circuit, no builder may build or
+    # walk a permutation of all 65,536 points.
+    degree = 1 << 16
+    rng = random.Random(16)
+    p16, p17 = (random_involution_of_size(rng, degree, s) for s in (16, 17))
+    p16.transpositions(), p17.transpositions()  # derived before the guard
+
+    def refuse(what):
+        raise AssertionError(f"{what} on all {degree} points")
+
+    cycles = Permutation.cycles
+    from_cycles, bijection = Permutation.from_cycles.__func__, Permutation._bijection.__func__
+
+    def guarded_cycles(self):
+        if self.degree == degree:
+            refuse("cycles()")
+        return cycles(self)
+
+    def guarded_from_cycles(cls, cycle_list, d):
+        if d == degree:
+            refuse("from_cycles()")
+        return from_cycles(cls, cycle_list, d)
+
+    def guarded_bijection(cls, image):
+        image = tuple(image)
+        if len(image) == degree:
+            refuse("a Permutation")
+        return bijection(cls, image)
+
+    monkeypatch.setattr(Permutation, "cycles", guarded_cycles)
+    monkeypatch.setattr(Permutation, "from_cycles", classmethod(guarded_from_cycles))
+    monkeypatch.setattr(Permutation, "_bijection", classmethod(guarded_bijection))
+    built = [
+        (build_palindrome(p16), equivalent, p16),
+        (build_ancilla_circuit(p17), equivalent_with_ancilla, p17),
+        (build_v_circuit(p17), equivalent, p17),
+    ]
+    monkeypatch.undo()
+    for circuit, check, p in built:
+        assert circuit.is_palindromic() and check(circuit, p)
 
 
 @pytest.mark.parametrize("build", [build_ancilla_circuit, build_v_circuit])

@@ -171,6 +171,27 @@ class TestSynth:
     def test_non_involution_rejected(self, capsys):
         assert main(["synth", "--perm", "(0 1 2)"]) == 1
 
+    @pytest.mark.parametrize(
+        "mode, construction", [("ancilla", "ancilla"), ("vgate", "v-gate")]
+    )
+    @pytest.mark.parametrize(
+        "perm, got",
+        [
+            ("0 1", "0 transpositions"),
+            ("(0 1)", "1 transposition"),
+            ("(0 1)(2 3)", "2 transpositions"),
+            ("(0 1 2)", "no involution"),
+        ],
+    )
+    def test_alternative_modes_name_their_construction(self, capsys, mode, construction, perm, got):
+        assert main(["synth", "--perm", perm, "--mode", mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the {construction} construction needs an involution whose "
+            f"transposition count is not a power of two, got {got}\n"
+        )
+
     @pytest.mark.parametrize("where", ["missing/x.rev", "."])
     def test_unwritable_output_exits_1(self, capsys, tmp_path, where):
         target = tmp_path / where

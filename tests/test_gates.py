@@ -93,13 +93,15 @@ class TestMpmctGate:
 
     def test_transposition_count(self):
         # 2**(k-1) transpositions for k-1 free lines.
-        for n in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4, 5):
             for g in enumerate_gates(n):
                 k = n - g.num_controls
                 assert len(g.transpositions()) == 2 ** (k - 1)
                 # The masks against the per-line definitions: the gate fires
                 # where every control line carries its polarity, and swaps
-                # each such input with its target-flipped partner.
+                # each such input with its target-flipped partner.  The
+                # pairs, listed by a walk over the free lines, must be those
+                # of a fires() scan of every input.
                 bit = 1 << (g.target - 1)
                 fires = [
                     all((x >> (line - 1)) & 1 == pol for line, pol in g.controls)

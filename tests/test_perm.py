@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dense_reference import dense_nearest_conjugator
 from revpal.perm import (
     Permutation,
     compose,
@@ -11,6 +12,7 @@ from revpal.perm import (
     cycle_string,
     find_conjugator,
     lines_for_degree,
+    match_pairs,
     one_line,
     parse_permutation,
 )
@@ -331,7 +333,11 @@ class TestNearestConjugator:
     @given(involution_pairs())
     def test_conjugates_q_onto_p(self, pq):
         p, q = pq
-        assert conjugate(find_conjugator(p, q), q) == p
+        sigma = find_conjugator(p, q)
+        assert conjugate(sigma, q) == p
+        lines = (p.degree - 1).bit_length()
+        rows = match_pairs(p.transpositions(), q.transpositions(), lines)
+        assert sigma == dense_nearest_conjugator(p, q, rows)
 
     @given(involution_pairs())
     def test_shared_pairs_and_fixpoints_stay_fixed(self, pq):
@@ -474,6 +480,25 @@ class TestParsing:
         assert parse_permutation(one_line(p)) == p
         assert parse_permutation(cycle_string(p), degree=8) == p
         assert cycle_string(Permutation.identity(4)) == "()"
+
+    @given(st.data())
+    def test_cycle_string_renders_the_canonical_cycles(self, data):
+        # An involution is rendered from its sorted pairs; the reference is
+        # the rendering of cycles() over every point.  Involutions, the
+        # identity and other permutations are all drawn.
+        degree = data.draw(st.integers(min_value=1, max_value=64))
+        points = data.draw(st.permutations(list(range(degree))))
+        kind = data.draw(st.sampled_from(["involution", "identity", "any"]))
+        if kind == "any":
+            p = Permutation(points)
+        else:
+            size = 0 if kind == "identity" else data.draw(st.integers(0, degree // 2))
+            p = Permutation.from_transpositions(
+                zip(points[0 : 2 * size : 2], points[1 : 2 * size : 2]), degree
+            )
+        cycles = [c for c in p.cycles() if len(c) > 1]
+        expected = "".join("(" + " ".join(map(str, c)) + ")" for c in cycles) or "()"
+        assert cycle_string(p) == expected
 
 
 class TestLinesForDegree:
