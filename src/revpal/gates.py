@@ -247,13 +247,12 @@ def nearest_gate(transpositions: Iterable[Transposition], n: int, free: int) -> 
     endpoints = [v for ab in ts for v in ab]
     full = (1 << n) - 1
     best = (-1, 0, 0)
-    for care in map(sum, combinations([1 << line for line in range(n)], n - 1 - free)):
-        # The most common corner of the endpoints projected onto the controls,
-        # the first one seen among equals; found only when it beats the best.
-        corners = Counter(map(care.__and__, endpoints))
-        hits = max(corners.values())
+    for controls in combinations(range(n), n - 1 - free):
+        care = sum(1 << line for line in controls)
+        # The most common corner of the endpoints projected onto the controls.
+        [(value, hits)] = Counter(map(care.__and__, endpoints)).most_common(1)
         if hits > best[0]:
-            best = (hits, care, max(corners, key=corners.__getitem__))
+            best = (hits, care, value)
     _, care, value = best
     span = full ^ care
     shared = Counter(a ^ b for a, b in ts if a & care == value)

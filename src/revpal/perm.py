@@ -335,10 +335,9 @@ def _cycles(image, points) -> tuple[tuple[int, ...], ...]:
     for start in points:
         if start in seen:
             continue
-        cycle, x = [start], image[start]
-        while x != start:
+        cycle = [start]
+        while (x := image[cycle[-1]]) != start:
             cycle.append(x)
-            x = image[x]
         seen.update(cycle)
         out.append(tuple(cycle))
     return tuple(sorted(out, key=lambda c: (-len(c), c[0])))
@@ -416,9 +415,11 @@ def one_line(p: Permutation) -> str:
 
 def cycle_string(p: Permutation) -> str:
     """Cycle text form with fixpoints omitted; ``"()"`` for the identity."""
-    # An involution's sorted pairs are its non-trivial cycles, in order.
-    cycles = sorted(p.transpositions()) if p.is_involution() else p.cycles()
-    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles if len(c) > 1) or "()"
+    # An involution's sorted pairs are its non-trivial cycles, in order; any
+    # other permutation is walked from the points it moves only.
+    cycles = sorted(p.transpositions()) if p.is_involution() else _cycles(
+        p.image, [x for x, y in enumerate(p.image) if x != y])
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles) or "()"
 
 
 def _parse_int(token: str, entry: int) -> int:

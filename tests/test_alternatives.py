@@ -259,7 +259,8 @@ def test_one_embedding_matches_the_two_step_recipe(data):
     # embedding and built from the points that move.  p's pairs are matched
     # onto the core a second time, the conjugator is the dense one over
     # every point, the flank comes from its cycles() over every point, and
-    # each surplus gate is the transposition_gate of its pair.
+    # each surplus gate is the transposition_gate of its pair.  The public
+    # decompose record, which no builder reads, is held to the same recipe.
     n = data.draw(st.integers(min_value=1, max_value=8))
     power = n < 3 or data.draw(st.booleans())
     sizes = [s for s in range(1, (1 << (n - 1)) + 1) if (s & (s - 1) == 0) == power]
@@ -280,7 +281,12 @@ def test_one_embedding_matches_the_two_step_recipe(data):
         centre = (gate.circuit_gate(),)
         assert build_palindrome(p) == Circuit(n, flank + centre + flank[::-1])
         return
-    swaps = [transposition_gate(a, b, n) for a, b in sorted(gate_pairs - core.transpositions())]
+    surplus = gate_pairs - core.transpositions()
+    d = decompose(p)
+    assert (d.gate, d.gate_perm, d.inner) == (gate, gate.permutation(), core)
+    assert d.surplus == Permutation.from_transpositions(surplus, 1 << n)
+    assert (d.conjugator, d.k) == (sigma, size.bit_length())
+    swaps = [transposition_gate(a, b, n) for a, b in sorted(surplus)]
     anc = n + 1
     left = flank + tuple(Gate("t", anc, g.controls) for g in swaps + [gate])
     cnot = (Gate("t", gate.target, {anc: True}),)
