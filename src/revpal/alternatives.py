@@ -69,12 +69,13 @@ def decompose(p: Permutation) -> TargetDecomposition:
     conjugator moves few points.  The builders do not call this.
     """
     gate, rows, sigma, surplus = _container(p, "decompose")
-    perms = (Permutation.from_cycles(c, p.degree) for c in ([r[:2] for r in rows], surplus, sigma))
-    return TargetDecomposition(gate, gate.permutation(), *perms, len(rows).bit_length())
+    core = [r[:2] for r in rows]
+    perms = (Permutation.from_cycles(c, p.degree) for c in (core + surplus, core, surplus, sigma))
+    return TargetDecomposition(gate, *perms, len(rows).bit_length())
 
 
 def _container(p: Permutation, construction: str):
-    """``_embedding``'s gate, rows and conjugator cycles for ``p``, and the surplus pairs, sorted.
+    """``_embedding``'s gate, rows, conjugator cycles and sorted surplus pairs for ``p``.
 
     ``construction`` names the caller in the error for an input whose
     transposition count is a power of two, or that is no involution.
@@ -84,8 +85,7 @@ def _container(p: Permutation, construction: str):
         got = "no involution" if c.size is None else f"{c.size} transposition" + "s" * (c.size != 1)
         raise ValueError(f"{construction} needs an involution whose transposition count "
                          f"is not a power of two, got {got}")
-    gate, rows, sigma = _embedding(p, lines_for_degree(p.degree))
-    return gate, rows, sigma, sorted(gate.transpositions() - {tuple(sorted(r[:2])) for r in rows})
+    return _embedding(p, lines_for_degree(p.degree))
 
 
 def _surplus_gates(surplus, n: int, kind: str, target: int) -> list[Gate]:

@@ -15,8 +15,9 @@ Two models:
 time; they are the reference oracles.  Every whole-table answer
 (``simulate_all``, ``truth_table``, ``equivalent`` and
 ``equivalent_with_ancilla``) reads one forward table from ``_outputs``:
-the output word of each input, and the mask of inputs whose run fails.
-``_outputs`` is the one place that picks an evaluator, and it has two:
+the output word of each input, or ``1 << lines``, a value no word takes,
+for an input whose run fails.  ``_outputs`` is the one place that picks
+an evaluator, and it has two:
 
 * lane swaps, for runs of Toffoli gates that are mostly fully controlled,
   like the flanks the builders emit: a table holds the input (lane) in
@@ -209,6 +210,11 @@ def _lane_bits(mask: int, width: int) -> bytes:
     return format(mask, f"0{width}b").encode().translate(_ASCII_BIT)[::-1]
 
 
+def _lanes(mask: int, width: int):
+    """The lanes x below ``width`` whose bit x of ``mask`` is set, in order."""
+    return compress(range(width), _lane_bits(mask, width)) if mask else ()
+
+
 def _reasons(lines: int, hi, failed, lo, reads) -> dict[int, str]:
     """Why each failing lane of a ``_simulate_columns`` run fails.
 
@@ -216,18 +222,14 @@ def _reasons(lines: int, hi, failed, lo, reads) -> dict[int, str]:
     ``simulate_semiclassical`` or ``classical_readout`` raises on it.
     """
     states = 1 << lines
-
-    def lanes(mask):
-        return compress(range(states), _lane_bits(mask, states))
-
     reasons = {}
     for line, cell, mask in reads:
-        reasons.update(dict.fromkeys(lanes(mask), _read_failure(line, cell)))
+        reasons.update(dict.fromkeys(_lanes(mask, states), _read_failure(line, cell)))
         failed &= ~mask
     if failed:
         # Bits 2i and 2i + 1 of a lane's word are line x(i+1)'s lo and hi.
         words = _words([plane for pair in zip(lo, hi) for plane in pair], states)
-        for x in lanes(failed):
+        for x in _lanes(failed, states):
             reasons[x] = _state_failure([words[x] >> 2 * i & 3 for i in range(lines)])
     return reasons
 
@@ -266,16 +268,16 @@ def _swap_lanes(gates, states: int) -> tuple[list[int], int]:
     return inv, len(gates)
 
 
-def _outputs(circuit: Circuit) -> tuple[list[int], int, tuple | None]:
-    """The output word of every input, and the mask of inputs whose run fails.
+def _outputs(circuit: Circuit) -> tuple[list[int], tuple | None]:
+    """The output word of every input, ``1 << circuit.lines`` where its run fails.
 
-    The one choice of evaluator; failing inputs' words are meaningless.  A
-    palindrome's left half opens with a lane run L and its right half
-    closes with the mirror run, which computes L^-1; any other circuit has
-    no such runs.  The gates between them, the middle M, run by lane swaps
-    if those take M whole, bit-sliced otherwise.  Input x then ends as
-    L^-1(M(L(x))), and fails where M fails on L(x).  Third comes what
-    ``_simulate_columns`` returned if it ran the whole circuit, else None.
+    The one choice of evaluator.  A palindrome's left half opens with a
+    lane run L and its right half closes with the mirror run, which
+    computes L^-1; any other circuit has no such runs.  The gates between
+    them, the middle M, run by lane swaps if those take M whole,
+    bit-sliced otherwise.  Input x then ends as L^-1(M(L(x))), and fails
+    where M fails on L(x).  Second comes what ``_simulate_columns``
+    returned if it ran the whole circuit, else None.
     """
     states = 1 << circuit.lines
     gates = circuit.gates
@@ -288,20 +290,18 @@ def _outputs(circuit: Circuit) -> tuple[list[int], int, tuple | None]:
         # A palindrome of self-inverse gates computes an involution, so its
         # inverse table is also its forward table.
         outputs = inv if palindrome else sorted(range(states), key=inv.__getitem__)
-        failed = 0
     else:
         run = _simulate_columns(circuit.lines, middle)
-        hi, failed = run[:2]
-        outputs = _words(hi, states)
+        outputs = _words(run[0], states)
+        for x in _lanes(run[1], states):
+            outputs[x] = states
     if not k:
-        return outputs, failed, run
-    # L's forward table: L(x) is the state whose entry is x.
+        return outputs, run
+    # L's forward table: L(x) is the state whose entry is x.  L^-1 sends
+    # the mark, entry ``states``, to itself.
     forward = sorted(range(states), key=left.__getitem__)
-    outputs = list(map(left.__getitem__, map(outputs.__getitem__, forward)))
-    if failed:  # bit x of the input mask is bit L(x) of the middle's
-        bits = format(failed, f"0{states}b")[::-1]
-        failed = int("".join(map(bits.__getitem__, forward))[::-1], 2)
-    return outputs, failed, None
+    left.append(states)
+    return list(map(left.__getitem__, map(outputs.__getitem__, forward))), None
 
 
 def simulate_all(circuit: Circuit) -> tuple[list[int], dict[int, str]]:
@@ -309,16 +309,16 @@ def simulate_all(circuit: Circuit) -> tuple[list[int], dict[int, str]]:
 
     Returns the output word of each input, and for each input whose run
     fails the text of the ``SimulationError`` that ``simulate_semiclassical``
-    or ``classical_readout`` raises on it; those inputs' words are
-    meaningless.
+    or ``classical_readout`` raises on it; those inputs' entries are
+    ``1 << circuit.lines``.
     """
     if circuit.lines > MAX_LINES:
         raise ValueError(
             f"cannot run all inputs of a circuit on {circuit.lines} lines "
             f"(at most {MAX_LINES})"
         )
-    outputs, failed, run = _outputs(circuit)
-    if not failed:
+    outputs, run = _outputs(circuit)
+    if 1 << circuit.lines not in outputs:
         return outputs, {}
     if run is None:
         # Only the middle ran bit-sliced, and the right run may yet read a
@@ -344,8 +344,7 @@ def equivalent(circuit: Circuit, p: Permutation) -> bool:
         raise ValueError(
             f"circuit on {circuit.lines} lines cannot match degree {p.degree}"
         )
-    outputs, failed, _ = _outputs(circuit)
-    return not failed and tuple(outputs) == p.image
+    return tuple(_outputs(circuit)[0]) == p.image
 
 
 def equivalent_with_ancilla(circuit: Circuit, p: Permutation) -> bool:
@@ -361,11 +360,8 @@ def equivalent_with_ancilla(circuit: Circuit, p: Permutation) -> bool:
             f"circuit on {circuit.lines} lines with one ancilla cannot match degree {p.degree}"
         )
     a = circuit.ancilla - 1
-    outputs, failed, _ = _outputs(circuit)
-    # A failed input counts only with the ancilla at 0.
-    if failed and failed & ~_input_columns(circuit.lines)[a]:
-        return False
+    outputs, _ = _outputs(circuit)
     # clean[d] is data word d with the ancilla at 0; the input clean[d]
-    # must end as clean[p(d)].
+    # must end as clean[p(d)], so a failed clean input, marked, fails too.
     clean = [x for x in range(2 * p.degree) if not x >> a & 1]
     return list(map(outputs.__getitem__, clean)) == list(map(clean.__getitem__, p.image))

@@ -134,26 +134,32 @@ def build_palindrome(p: Permutation) -> Circuit:
         raise ValueError(
             f"no odd palindromic circuit on {n} lines exists for kind {c.kind!r}"
         )
-    gate, _, sigma = _embedding(p, n)
+    gate, _, sigma, _ = _embedding(p, n)
     return _palindrome(sigma, n, [], gate.circuit_gate())
 
 
-def _embedding(p: Permutation, n: int) -> tuple[MpmctGate, list, tuple]:
-    """The gate, matching rows and conjugator that embed the involution ``p`` on n lines.
+def _embedding(p: Permutation, n: int) -> tuple[MpmctGate, list, tuple, list]:
+    """The gate, matching rows, conjugator and surplus that embed the involution ``p`` on n lines.
 
     The gate is the one with ``2**ceil(log2 s)`` pairs nearest ``p``'s s
     pairs (``nearest_gate``).  ``match_pairs`` sends ``p``'s pairs onto s
     of its pairs, the core, nearest first: a row ``(a, b, c, d)`` holds a
     core pair ``(a, b)`` and the pair ``(c, d)`` of ``p`` it goes to.  The
     conjugator, read from those rows and given by the cycles it moves,
-    satisfies p = conjugator . core . conjugator^-1.  When s is a power
-    of two the core is the whole gate.  Nothing here builds or scans a
-    permutation of all 2**n points.
+    satisfies p = conjugator . core . conjugator^-1.  The surplus is the
+    gate's pairs outside the core, sorted; when s is a power of two the
+    core is the whole gate and the surplus empty.  The gate's pairs are
+    listed once, and nothing here builds or scans a permutation of all
+    2**n points.
     """
     pairs = p.transpositions()
     gate = nearest_gate(pairs, n, (len(pairs) - 1).bit_length())
-    rows = match_pairs(pairs, gate.transpositions(), n)
-    return gate, rows, _nearest_conjugator(pairs, rows, n)
+    gate_pairs = gate.transpositions()
+    rows = match_pairs(pairs, gate_pairs, n)
+    surplus = []
+    if len(rows) < len(gate_pairs):
+        surplus = sorted(gate_pairs - {tuple(sorted(r[:2])) for r in rows})
+    return gate, rows, _nearest_conjugator(pairs, rows, n), surplus
 
 
 def _palindrome(sigma, n: int, half, centre, ancilla=None) -> Circuit:

@@ -307,7 +307,7 @@ def test_the_conjugator_read_from_the_rows_matches_the_dense_one(data):
     p = Permutation.from_transpositions(
         zip(points[0 : 2 * size : 2], points[1 : 2 * size : 2]), 1 << n
     )
-    _, rows, sigma = _embedding(p, n)
+    _, rows, sigma, _ = _embedding(p, n)
     core = Permutation.from_transpositions([row[:2] for row in rows], 1 << n)
     dense = dense_nearest_conjugator(p, core, rows)
     assert sigma == tuple(c for c in dense.cycles() if len(c) > 1)
@@ -376,3 +376,18 @@ def test_a_build_matches_its_pairs_once(build, monkeypatch):
             monkeypatch.setattr(module, "match_pairs", counted)
     build(WORKED)
     assert calls.count(sorted(WORKED.transpositions())) == 1
+
+
+@pytest.mark.parametrize("run", [build_ancilla_circuit, build_v_circuit, decompose])
+def test_a_container_gate_lists_its_pairs_once(run, monkeypatch):
+    # The matching and the surplus read one listing of the gate's pairs.
+    calls = []
+    transpositions = MpmctGate.transpositions
+
+    def counted(gate):
+        calls.append(gate)
+        return transpositions(gate)
+
+    monkeypatch.setattr(MpmctGate, "transpositions", counted)
+    run(random_involution_of_size(random.Random(7), 1 << 7, 37))
+    assert len(calls) == 1

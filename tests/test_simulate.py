@@ -613,12 +613,31 @@ class TestHalfTurnPalindromes:
         whole = _words(hi, states)
         outputs, reasons = simulate_all(circuit)
         assert sum(1 << x for x in reasons) == whole_failed == mask
+        # The failing inputs are exactly the ones marked in the table.
+        assert sum(1 << x for x, y in enumerate(outputs) if y == states) == mask
         for x, y in enumerate(expected):
             if y is not None:
                 assert outputs[x] == whole[x] == y
         check_equivalent(circuit)
         if circuit.ancilla is not None:
             check_equivalent_with_ancilla(circuit)
+
+    @pytest.mark.parametrize("at", [True, False])
+    def test_a_failing_centre_counts_only_with_the_ancilla_at_1(self, at):
+        # Three Toffoli gates on the data lines leave the ancilla, x4,
+        # free: each swaps two pairs of lanes, so the lane run takes the
+        # whole left half and only the centre v runs bit-sliced.  The v
+        # fails every input with the ancilla at ``at``; the table marks
+        # them through the left run.
+        half = [Gate("t", 1, {2: True, 3: True}), Gate("t", 2, {1: True, 3: False}),
+                Gate("t", 3, {1: False, 2: True})]
+        centre = Gate("v", 1, {4: at})
+        circuit = Circuit(4, [*half, centre, *half[::-1]], ancilla=4)
+        assert bit_sliced_runs(circuit) == [(centre,)]
+        outputs, reasons = simulate_all(circuit)
+        failing = [x for x in range(16) if x >> 3 == at]
+        assert [x for x, y in enumerate(outputs) if y == 16] == failing == sorted(reasons)
+        assert equivalent_with_ancilla(circuit, Permutation.identity(8)) == at
 
     def test_draws_reach_every_split(self):
         # The first draw each way will do; shrinking it would take seconds.
