@@ -228,10 +228,10 @@ def find_conjugator(p: Permutation, q: Permutation) -> Permutation:
     Exists iff the cycle types agree, and ``find_conjugator(p, p)`` is the
     identity.  For two involutions sigma is a nearest matching: it fixes
     the pairs and fixpoints the two share and sends the other pairs of
-    ``q`` to pairs of ``p`` by ``match_pairs``.  Each fixpoint of ``q``
-    that p moves then goes back where a step of sigma came from, when that
-    closes a 2-cycle, or else to the nearest free fixpoint of ``p`` in
-    Hamming distance.  Every other cycle type is matched cycle by cycle,
+    ``q`` to pairs of ``p`` by ``match_pairs``.  Those steps string the
+    points into chains, each from a fixpoint of ``p`` that q moves to a
+    fixpoint of ``q`` that p moves, and sigma sends each chain's end back
+    to its own start.  Every other cycle type is matched cycle by cycle,
     element by element, in canonical cycle form.  The builders do not call
     this: ``synth._embedding`` picks their gate and core by the same
     matching and reads the conjugator's cycles from its rows, matching
@@ -240,9 +240,8 @@ def find_conjugator(p: Permutation, q: Permutation) -> Permutation:
     if p.degree == q.degree and p.is_involution() and q.is_involution():
         p_pairs, q_pairs = p.transpositions(), q.transpositions()
         if len(p_pairs) == len(q_pairs):
-            lines = (p.degree - 1).bit_length()
-            rows = match_pairs(p_pairs, q_pairs, lines)
-            return Permutation.from_cycles(_nearest_conjugator(p_pairs, rows, lines), p.degree)
+            rows = match_pairs(p_pairs, q_pairs, (p.degree - 1).bit_length())
+            return Permutation.from_cycles(_nearest_conjugator(rows), p.degree)
     p_cycles, q_cycles = p.cycles(), q.cycles()
     # Canonical cycles come longest first, so their lengths are the cycle type.
     p_type, q_type = tuple(map(len, p_cycles)), tuple(map(len, q_cycles))
@@ -268,9 +267,8 @@ def match_pairs(
     takes the free pair of q with an endpoint at distance r from one of its
     own, in either orientation, the other endpoints nearest.  So a pair the
     two sets share is kept as it is: at radius 0 it finds itself, at
-    distance 0.  A pair ``(x, x)`` stands for the single point x.  Needs as
-    many pairs in q as in p or more; the pairs of q left over are not
-    returned.
+    distance 0.  Needs as many pairs in q as in p or more; the pairs of q
+    left over are not returned.
     """
     free: dict[int, int] = {}
     for a, b in q_pairs:
@@ -279,15 +277,14 @@ def match_pairs(
     for masks in _masks_by_weight(lines):
         left = []
         for c, d in todo:
-            ends = ((c, d), (d, c)) if c != d else ((c, d),)
             near = [((free[x ^ m] ^ y).bit_count(), x ^ m, x, y)
-                    for x, y in ends for m in masks if x ^ m in free]
+                    for x, y in ((c, d), (d, c)) for m in masks if x ^ m in free]
             if not near:
                 left.append((c, d))
                 continue
             _, a, x, y = min(near)
             b = free.pop(a)
-            free.pop(b, None)
+            del free[b]
             rows.append((a, b, x, y))
         todo = left
         if not todo:
@@ -295,31 +292,27 @@ def match_pairs(
     raise ValueError("fewer pairs to match onto than to match")
 
 
-def _nearest_conjugator(p_pairs, rows, lines: int) -> tuple[tuple[int, ...], ...]:
+def _nearest_conjugator(rows) -> tuple[tuple[int, ...], ...]:
     """``find_conjugator``'s sigma for two involutions, as the cycles it moves.
 
-    ``rows`` are ``match_pairs``' rows for ``p_pairs`` onto the pairs of
-    q; the caller matches, so a caller that chose q by that very matching
-    does not match twice.  Only the pairs' endpoints are read: a point no
-    pair of p and no row holds is a fixpoint of sigma.  The cycles come in
+    ``rows`` are ``match_pairs``' rows for the pairs of p onto the pairs
+    of q; the caller matches, so a caller that chose q by that very
+    matching does not match twice.  Only the rows' points are read: a
+    point no row holds is a fixpoint of sigma.  The cycles come in
     ``Permutation.cycles`` order.
     """
-    moved = {v for ab in p_pairs for v in ab}  # the points p moves
-    core = {v for row in rows for v in row[:2]}  # the points q moves
     image = {}
     for a, b, c, d in rows:
         image[a], image[b] = c, d
-        # A step h -> x from a fixpoint of p to a fixpoint of q closes into
-        # the 2-cycle (h x), whose second step the flank gets for free.
-        for h, x in ((a, c), (b, d)):
-            if h not in moved and x not in core:
-                image[x] = h
-    # The other fixpoints of q that p moves go to the nearest fixpoints of
-    # p that q moves and no step reaches yet, each matched as a pair of one
-    # point.
-    p_points = [(y, y) for y in core.difference(moved, image.values())]
-    q_points = [(x, x) for x in moved.difference(core, image)]
-    image.update((a, c) for a, _, c, _ in match_pairs(p_points, q_points, lines))
+    # Each chain runs from a fixpoint of p that q moves, through points
+    # both move, to a fixpoint of q that p moves.  Its end goes back to its
+    # own start, so each chain is a cycle of its own, of which the flank
+    # builds every step but one.
+    for start in set(image).difference(image.values()):
+        end = image[start]
+        while end in image:
+            end = image[end]
+        image[end] = start
     return _cycles(image, sorted(x for x, y in image.items() if x != y))
 
 

@@ -159,7 +159,7 @@ def _embedding(p: Permutation, n: int) -> tuple[MpmctGate, list, tuple, list]:
     surplus = []
     if len(rows) < len(gate_pairs):
         surplus = sorted(gate_pairs - {tuple(sorted(r[:2])) for r in rows})
-    return gate, rows, _nearest_conjugator(pairs, rows, n), surplus
+    return gate, rows, _nearest_conjugator(rows), surplus
 
 
 def _palindrome(sigma, n: int, half, centre, ancilla=None) -> Circuit:

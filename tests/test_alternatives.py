@@ -13,7 +13,7 @@ from revpal.alternatives import (
 from revpal.census import iter_involutions
 from revpal.circuits import Circuit, Gate
 from revpal.gates import MpmctGate, nearest_gate, transposition_gate
-from revpal.perm import Permutation, compose, conjugate, match_pairs
+from revpal.perm import Permutation, compose, conjugate, find_conjugator, match_pairs
 from revpal.simulate import (
     classical_readout,
     equivalent,
@@ -313,6 +313,10 @@ def test_the_conjugator_read_from_the_rows_matches_the_dense_one(data):
     assert sigma == tuple(c for c in dense.cycles() if len(c) > 1)
     assert Permutation.from_cycles(sigma, 1 << n) == dense
     assert conjugate(dense, core) == p
+    # Each chain closes on its own start, so no cycle strings two chains.
+    for cycle in sigma:
+        assert sum(p(x) == x != core(x) for x in cycle) <= 1
+        assert sum(core(x) == x != p(x) for x in cycle) <= 1
 
 
 def test_sixteen_line_builds_use_only_the_points_that_move(monkeypatch):
@@ -358,12 +362,19 @@ def test_sixteen_line_builds_use_only_the_points_that_move(monkeypatch):
         assert circuit.is_palindromic() and check(circuit, p)
 
 
-@pytest.mark.parametrize("build", [build_ancilla_circuit, build_v_circuit])
-def test_a_build_matches_its_pairs_once(build, monkeypatch):
+@pytest.mark.parametrize(
+    "run", [build_ancilla_circuit, build_v_circuit, build_palindrome, find_conjugator]
+)
+def test_a_build_matches_its_pairs_once(run, monkeypatch):
+    # One matching per conjugator: each chain closes on its own start, so
+    # no second match_pairs call strings the chains together.
     import revpal.alternatives
     import revpal.perm
     import revpal.synth
 
+    rng = random.Random(21)
+    draws = [random_involution_of_size(rng, 1 << 6, 16) for _ in range(2)]
+    args = {build_palindrome: draws[:1], find_conjugator: draws}.get(run, [WORKED])
     calls = []
 
     def counted(p_pairs, q_pairs, lines):
@@ -374,8 +385,8 @@ def test_a_build_matches_its_pairs_once(build, monkeypatch):
     for module in (revpal.perm, revpal.synth, revpal.alternatives):
         if hasattr(module, "match_pairs"):
             monkeypatch.setattr(module, "match_pairs", counted)
-    build(WORKED)
-    assert calls.count(sorted(WORKED.transpositions())) == 1
+    run(*args)
+    assert calls == [sorted(args[0].transpositions())]
 
 
 @pytest.mark.parametrize("run", [build_ancilla_circuit, build_v_circuit, decompose])

@@ -276,14 +276,14 @@ def _seeded_involution(rng, n, s):
     return Permutation.from_transpositions(pairs, 1 << n)
 
 
-# sha256 of every builder output below, captured when the middle gate became
-# ``nearest_gate`` and the conjugator a nearest matching.  A change to the
-# gates any builder emits (flank order, middle gate, surplus blocks) must
-# update it on purpose.
-BUILDER_BYTES_SHA256 = "edb7ceb408c29e012cc1b1407cf5dc268e213c1e9b03fd6d0d85c25b0d68d311"
-# The same draws on nine to eleven lines, captured before the three builders
-# chose gate, core and conjugator in one place.
-BUILDER_BYTES_9_11_SHA256 = "0919daa9542a458560553e2d5db4f532e1e0d330891268d5d0994d94278e9272"
+# sha256 of every builder output below, captured when each chain of the
+# nearest conjugator came to close on its own start instead of on another
+# chain's, which moved the flanks of every draw with a chain of two or more
+# steps.  A change to the gates any builder emits (flank order, middle gate,
+# surplus blocks) must update it on purpose.
+BUILDER_BYTES_SHA256 = "b4959b7df9dfc5df0e1309eee990bdd5abe7c7420f409351d18fd8a3d38002f2"
+# The same draws on nine to eleven lines, captured with the pin above.
+BUILDER_BYTES_9_11_SHA256 = "cddb107d679b82c6736c0690ab5c35cce0b7de51d5be94fc54dc9fb47cbd3453"
 
 
 def test_builder_bytes_are_pinned_for_nine_to_eleven_lines():
