@@ -163,6 +163,13 @@ class Circuit:
         if self.ancilla is not None and not 1 <= self.ancilla <= self.lines:
             raise ValueError(f"ancilla line x{self.ancilla} out of range")
 
+    @classmethod
+    def _valid(cls, lines: int, gates: tuple[Gate, ...], ancilla: int | None) -> "Circuit":
+        """A circuit of ``gates``, a tuple its caller built valid on ``lines`` and ``ancilla``."""
+        circuit = object.__new__(cls)
+        circuit.__dict__.update(lines=lines, gates=gates, ancilla=ancilla)
+        return circuit
+
     def __len__(self) -> int:
         return len(self.gates)
 
@@ -247,7 +254,8 @@ def parse_circuit(text: str) -> Circuit:
         raise _fault(
             ancilla_at, 1, f"ancilla line x{_clip(str(ancilla), str)} out of range 1..{lines}"
         )
-    return Circuit(lines, gates, ancilla)
+    # Every gate token and the ancilla were range-checked against .lines above.
+    return Circuit._valid(lines, tuple(gates), ancilla)
 
 
 def _fault(where: tuple[int, str], index: int, message: str) -> CircuitParseError:
@@ -309,27 +317,37 @@ def _parse_gate(tokens: list[str], where, lines: int, known: dict[str, tuple[int
 
 
 def serialize_circuit(circuit: Circuit) -> str:
-    """Render a circuit in the text format; parse(serialize(c)) == c."""
+    """Render a circuit in the text format; parse(serialize(c)) == c.
+
+    A palindrome's first half, middle gate included, is rendered, and the
+    rest is its lines before the middle, reversed.
+    """
     out = [f".lines {circuit.lines}"]
     if circuit.ancilla is not None:
         out.append(f".ancilla {circuit.ancilla}")
-    # Line i's tokens at index i, up to the highest line a gate has used.
-    positive: list[str] = []
-    negative: list[str] = []
+    gates, mirror = circuit.gates, circuit.is_palindromic()
+    if mirror:
+        gates = gates[: (len(gates) + 1) // 2]
+    first = len(out)
+    # Bit i's tokens (-x<i+1>, x<i+1>) at index i, up to the highest line a gate has used.
+    spelled: list[tuple[str, str]] = []
     # Gates repeat, as in parse_circuit.  A tuple key hashes in C, where a
     # Gate key would run the dataclass's __hash__ and __eq__ in Python.
     texts: dict[tuple[str, int, int, int], str] = {}
-    for g in circuit.gates:
+    for g in gates:
         key = (g.kind, g.target, g.care, g.value)
         text = texts.get(key)
         if text is None:
-            for line in range(len(positive), g.max_line() + 1):
-                positive.append(f"x{line}")
-                negative.append(f"-x{line}")
-            tokens = [g.kind]
-            for i in set_bits(g.care):
-                tokens.append((positive if g.value >> i & 1 else negative)[i + 1])
-            tokens.append(positive[g.target])
+            kind, target, care, value = key
+            for line in range(len(spelled) + 1, g.max_line() + 1):
+                spelled.append((f"-x{line}", f"x{line}"))
+            tokens = [kind]
+            for i in set_bits(care):
+                tokens.append(spelled[i][value >> i & 1])
+            tokens.append(spelled[target - 1][1])
             text = texts[key] = " ".join(tokens)
         out.append(text)
+    if mirror:
+        # The first L // 2 gate lines, reversed; none when L < 2.
+        out += out[first : first + len(circuit.gates) // 2][::-1]
     return "\n".join(out) + "\n"

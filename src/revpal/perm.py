@@ -25,6 +25,7 @@ __all__ = [
     "parse_permutation",
 ]
 
+import contextlib
 import functools
 import operator
 import re
@@ -393,7 +394,12 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
     items = text.replace(",", " ").split()
     if not items:
         raise ValueError("empty permutation")
-    image = [_parse_int(tok, i) for i, tok in enumerate(items, 1)]
+    digits, image = "".join(items), None
+    if digits.isascii() and digits.isdigit():
+        with contextlib.suppress(ValueError):  # more digits than int() reads
+            image = list(map(int, items))
+    if image is None:  # name the first entry at fault
+        image = [_parse_int(tok, i) for i, tok in enumerate(items, 1)]
     if degree is not None and degree != len(image):
         raise ValueError(
             f"one-line form has {len(image)} entries but degree {degree} was requested"

@@ -14,7 +14,9 @@ matches the involution's pairs onto the gate's once.  The conjugator
 moves only points that the involution or its gate moves, so it is read
 from the matching's rows as the cycles it moves, and the flank is built
 from those cycles: no builder builds or scans a permutation of all 2**n
-points on its way to the circuit.
+points on its way to the circuit.  A cycle of m points costs m - 1 of its
+m edges, so the flank rotates each cycle to skip its costliest edge; the
+conjugator's cycles themselves stay in canonical form.
 """
 
 from __future__ import annotations
@@ -83,7 +85,11 @@ def transposition_chain(a: int, b: int, n: int) -> tuple[Gate, ...]:
         raise ValueError("transposition endpoints must differ")
     if not 0 <= a < 1 << n or not 0 <= b < 1 << n:
         raise ValueError(f"endpoints {a}, {b} out of range for {n} lines")
-    full = (1 << n) - 1
+    return tuple(_swap_gates(a, b, (1 << n) - 1))
+
+
+def _swap_gates(a: int, b: int, full: int) -> list[Gate]:
+    """``transposition_chain(a, b, n)``'s gates for distinct valid words, ``full`` = 2**n - 1."""
     steps = []
     diff = a ^ b
     while diff:
@@ -92,28 +98,40 @@ def transposition_chain(a: int, b: int, n: int) -> tuple[Gate, ...]:
         steps.append(Gate._from_masks("t", bit.bit_length(), care, a & care))
         a ^= bit
         diff ^= bit
-    return tuple(steps + steps[-2::-1])
+    return steps + steps[-2::-1]
 
 
 def synthesize_permutation(p: Permutation) -> Circuit:
     """An exact Toffoli-family realization of an arbitrary permutation.
 
-    Splits each cycle into adjacent transpositions and realizes each by a
-    ``transposition_chain``; the output is deterministic but makes no
-    attempt at minimality.
+    Splits each cycle into adjacent transpositions, skipping its costliest
+    edge, and realizes each by a ``transposition_chain``; the output is
+    deterministic but makes no further attempt at minimality.
     """
     n = lines_for_degree(p.degree)
     return Circuit(n, _chain_gates(p.cycles(), n))
 
 
 def _chain_gates(cycles, n: int) -> list[Gate]:
-    """``synthesize_permutation``'s gates for ``cycles``, each valid on ``n`` lines."""
+    """``synthesize_permutation``'s gates for ``cycles``, each valid on ``n`` lines.
+
+    A cycle of m points is m - 1 transpositions, one per edge but one, so
+    each cycle of three or more points is first rotated to skip its
+    costliest edge: a swap at Hamming distance d costs 2d - 1 gates.  On a
+    tie the first such edge in the cycle's own order is skipped.
+    """
+    full = (1 << n) - 1
     gates: list[Gate] = []
     for cycle in cycles:
+        if len(cycle) > 2:
+            # Edge j runs from cycle[j] to cycle[j + 1], the last back to the first.
+            dist = [(a ^ b).bit_count() for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+            j = dist.index(max(dist)) + 1
+            cycle = cycle[j:] + cycle[:j]
         # (i1 .. im) = t(i1 i2) . t(i2 i3) . ... applied right to left, so
         # the circuit emits the chains in reverse factor order.
         for j in range(len(cycle) - 1, 0, -1):
-            gates.extend(transposition_chain(cycle[j - 1], cycle[j], n))
+            gates += _swap_gates(cycle[j - 1], cycle[j], full)
     return gates
 
 
@@ -166,11 +184,12 @@ def _palindrome(sigma, n: int, half, centre, ancilla=None) -> Circuit:
     """The flank of ``sigma``'s cycles on n lines, then ``half``, mirrored around ``centre``.
 
     All three builders end here, so every circuit they return is a
-    palindrome by construction.  It is validated once, as a whole: the
-    flank comes as a gate list, not as a circuit of its own.  The circuit
-    has n lines, or n + 1 with ``ancilla``, the line n + 1.
+    palindrome by construction.  Its gates are valid by construction too,
+    on n lines, or n + 1 with ``ancilla``, the line n + 1, so the circuit
+    is made without the public constructor's per-gate check.
     """
     # Gates run left to right, so the mirror of the sigma-flank comes first:
     # the cascade computes sigma . (half, centre, half mirrored) . sigma^-1.
     left = _chain_gates(sigma, n)[::-1] + list(half)
-    return Circuit(n if ancilla is None else ancilla, left + [centre] + left[::-1], ancilla)
+    lines = n if ancilla is None else ancilla
+    return Circuit._valid(lines, (*left, centre, *left[::-1]), ancilla)

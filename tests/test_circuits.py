@@ -488,3 +488,82 @@ class TestRoundTrip:
         assert text == reference_text(circuit)
         assert parse_circuit(text) == circuit
 
+    @pytest.mark.parametrize("length", range(8))
+    def test_a_short_palindrome_is_written_gate_by_gate(self, length):
+        # A palindrome is written from its first half, middle included; the
+        # reference renders every gate.  From two gates on, spoiling the
+        # last leaves a circuit that differs from its reverse in one gate.
+        stock = [Gate("t", 2, {1: False}), Gate("v", 1), Gate("t", 3, {1: True, 2: False})]
+        half = stock[: length // 2]
+        gates = half + stock[2:3] * (length % 2) + half[::-1]
+        spoiled = gates[:-1] + [Gate("v+", 3)] if gates else []
+        for c in (Circuit(3, gates), Circuit(3, spoiled, ancilla=3)):
+            assert len(c) == length
+            text = serialize_circuit(c)
+            assert text == reference_text(c)
+            assert parse_circuit(text) == c
+
+    @given(st.data())
+    def test_a_palindrome_or_near_miss_is_written_gate_by_gate(self, data):
+        # Palindromes of length 0..9, odd and even, their mirrored gates
+        # the same objects or twins; half of them then get one gate
+        # changed into a near miss of itself.
+        lines = data.draw(st.integers(1, 8))
+        half = data.draw(st.lists(gates(lines), max_size=4))
+        middle = data.draw(st.lists(gates(lines), max_size=1))
+        built = half + middle + [twin(g) if data.draw(st.booleans()) else g for g in half[::-1]]
+        if built and data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(built) - 1))
+            built[i] = data.draw(near_misses(built[i]))
+        c = Circuit(lines, built, data.draw(st.none() | st.integers(1, lines)))
+        text = serialize_circuit(c)
+        assert text == reference_text(c)
+        assert parse_circuit(text) == c
+
+    @given(st.data())
+    def test_builder_outputs_are_written_gate_by_gate_and_equal_checked_circuits(self, data):
+        # The builders and the parser make their circuits without the
+        # public constructor's per-gate check; each must equal the circuit
+        # that constructor builds from the same parts.
+        from revpal.alternatives import build_ancilla_circuit, build_v_circuit
+        from revpal.perm import Permutation
+        from revpal.synth import build_palindrome
+
+        n = data.draw(st.integers(min_value=1, max_value=8))
+        size = data.draw(st.integers(min_value=1, max_value=1 << (n - 1)))
+        points = data.draw(st.permutations(list(range(1 << n))))
+        p = Permutation.from_transpositions(
+            zip(points[0 : 2 * size : 2], points[1 : 2 * size : 2]), 1 << n
+        )
+        if size & (size - 1) == 0:
+            built = [build_palindrome(p)]
+        else:
+            built = [build_ancilla_circuit(p), build_v_circuit(p)]
+        for c in built:
+            assert c == Circuit(c.lines, c.gates, c.ancilla)
+            text = serialize_circuit(c)
+            assert text == reference_text(c)
+            parsed = parse_circuit(text)
+            assert parsed == c == Circuit(parsed.lines, parsed.gates, parsed.ancilla)
+
+    @given(token_sharing_files(), st.integers(0, 6))
+    def test_a_parsed_file_equals_the_checked_circuit(self, case, ancilla):
+        lines, body = case
+        header = f".lines {lines}\n" + (f".ancilla {ancilla}\n" if ancilla else "")
+        try:
+            c = parse_circuit(header + "\n".join(body) + "\n")
+        except CircuitParseError:
+            return
+        assert type(c.gates) is tuple
+        assert c == Circuit(c.lines, list(c.gates), c.ancilla)
+
+    def test_the_public_constructor_keeps_every_check(self):
+        with pytest.raises(ValueError, match="uses line x4 but the circuit has 3"):
+            Circuit(3, (Gate("t", 1), Gate("t", 2, {4: True})))
+        for ancilla in (0, 4):
+            with pytest.raises(ValueError, match=f"ancilla line x{ancilla} out of range"):
+                Circuit(3, (), ancilla)
+        for lines in (0, -1):
+            with pytest.raises(ValueError, match="at least one line"):
+                Circuit(lines)
+

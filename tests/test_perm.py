@@ -475,6 +475,41 @@ class TestParsing:
             parse_permutation(text)
         assert str(err.value) == message
 
+    @given(st.data())
+    def test_one_line_form_reads_as_token_by_token(self, data):
+        # Oracle: every token read by _parse_int, which names the first
+        # entry at fault.  Permutations of 1..8 points with up to two
+        # tokens swapped for hostile ones, and free text over digits, white
+        # space, commas, signs, underscores and non-ASCII digits.
+        from revpal.perm import _parse_int
+
+        hostile = st.sampled_from(
+            ["+1", "-0", "1_0", "_", "\u0663", "\u00b2", "\uff15", "0" * 4 + "1", "7" * 5000, "3x"]
+        )
+        if data.draw(st.booleans()):
+            degree = data.draw(st.integers(1, 8))
+            tokens = [str(x) for x in data.draw(st.permutations(range(degree)))]
+            for i in data.draw(st.lists(st.integers(0, len(tokens) - 1), max_size=2)):
+                tokens[i] = data.draw(hostile)
+            seps = st.sampled_from([" ", ",", "\t", "\n", ", ", "\xa0", " ,, ", "\u3000"])
+            text = data.draw(seps) + "".join(t + data.draw(seps) for t in tokens)
+        else:
+            text = data.draw(st.text(alphabet="0123456789 ,\t+-_\u0663\u00b2\uff15\xa0"))
+
+        def outcome(read):
+            try:
+                return read()
+            except ValueError as exc:
+                return str(exc)
+
+        def token_by_token():
+            items = text.replace(",", " ").split()
+            if not items:
+                raise ValueError("empty permutation")
+            return Permutation([_parse_int(tok, i) for i, tok in enumerate(items, 1)])
+
+        assert outcome(lambda: parse_permutation(text)) == outcome(token_by_token)
+
     def test_round_trip_text_forms(self):
         p = Permutation([4, 2, 6, 0, 3, 1, 5, 7])
         assert parse_permutation(one_line(p)) == p

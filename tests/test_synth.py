@@ -276,14 +276,15 @@ def _seeded_involution(rng, n, s):
     return Permutation.from_transpositions(pairs, 1 << n)
 
 
-# sha256 of every builder output below, captured when each chain of the
-# nearest conjugator came to close on its own start instead of on another
-# chain's, which moved the flanks of every draw with a chain of two or more
-# steps.  A change to the gates any builder emits (flank order, middle gate,
-# surplus blocks) must update it on purpose.
-BUILDER_BYTES_SHA256 = "b4959b7df9dfc5df0e1309eee990bdd5abe7c7420f409351d18fd8a3d38002f2"
+# sha256 of every builder output below, captured when the flank came to
+# rotate each conjugator cycle of three or more points to skip its
+# costliest edge instead of the edge into its smallest point, which moved
+# the flanks of every draw with such a cycle.  A change to the gates any
+# builder emits (flank order, middle gate, surplus blocks) must update it
+# on purpose.
+BUILDER_BYTES_SHA256 = "45e531fc5a73aa1dfda5e423e5b8a671de9e00bc03f2d8b7e614c36215c8ac47"
 # The same draws on nine to eleven lines, captured with the pin above.
-BUILDER_BYTES_9_11_SHA256 = "cddb107d679b82c6736c0690ab5c35cce0b7de51d5be94fc54dc9fb47cbd3453"
+BUILDER_BYTES_9_11_SHA256 = "26f3886e1edb3181a08d8ce411f37093ab4d11cfdc032ee8cd4d12d08a8f5dbb"
 
 
 def test_builder_bytes_are_pinned_for_nine_to_eleven_lines():
@@ -318,3 +319,51 @@ def test_builder_bytes_are_pinned_for_four_to_eight_lines():
             digest.update(serialize_circuit(build_ancilla_circuit(p)).encode())
             digest.update(serialize_circuit(build_v_circuit(p)).encode())
     assert digest.hexdigest() == BUILDER_BYTES_SHA256
+
+
+def _cost(a, b):
+    """Gates of the transposition chain swapping a and b: 2d - 1 at distance d."""
+    return 2 * (a ^ b).bit_count() - 1
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_each_flank_cycle_skips_a_costliest_edge(n):
+    # Seeded draws for all three builders.  _embedding's sigma keeps its
+    # canonical cycles; the flank skips the first costliest edge of each,
+    # so it costs the sum of its kept edges, no more than when each cycle
+    # skipped its closing edge, into its smallest point.
+    from revpal.alternatives import build_ancilla_circuit, build_v_circuit
+    from revpal.simulate import equivalent, equivalent_with_ancilla
+    from revpal.synth import _chain_gates, _embedding
+
+    rng = random.Random(f"rotation:{n}")
+    for s in (1 << (n - 2), 1 << (n - 3), 3, (1 << (n - 2)) - 1, (1 << (n - 3)) + 1):
+        p = _seeded_involution(rng, n, s)
+        _, _, sigma, surplus = _embedding(p, n)
+        moved = Permutation.from_cycles(sigma, 1 << n).cycles()
+        assert sigma == tuple(c for c in moved if len(c) > 1)
+        expected, kept, unrotated = [], 0, 0
+        for cycle in sigma:
+            edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+            costs = [_cost(a, b) for a, b in edges]
+            j = costs.index(max(costs))
+            kept += sum(costs) - costs[j]
+            unrotated += sum(costs) - costs[-1]
+            # A 2-cycle's two edges are one pair; it keeps its orientation.
+            path = cycle[j + 1 :] + cycle[: j + 1] if len(cycle) > 2 else cycle
+            for a, b in reversed(list(zip(path, path[1:]))):
+                expected += transposition_chain(a, b, n)
+        flank = _chain_gates(sigma, n)
+        assert flank == expected
+        assert len(flank) == kept <= unrotated
+        assert truth_table(Circuit(n, flank)) == Permutation.from_cycles(sigma, 1 << n)
+        if s & (s - 1) == 0:
+            built = [(build_palindrome(p), equivalent, 0)]
+        else:
+            built = [
+                (build_ancilla_circuit(p), equivalent_with_ancilla, len(surplus) + 1),
+                (build_v_circuit(p), equivalent, len(surplus)),
+            ]
+        for c, check, half in built:
+            assert len(c) == 2 * (kept + half) + 1
+            assert check(c, p)
