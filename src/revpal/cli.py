@@ -272,8 +272,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="run a circuit on inputs")
     p.add_argument("--circuit", required=True, help="circuit file")
-    p.add_argument("--input", help="one input as bits, x1 first")
-    p.add_argument("--all", action="store_true", help="run every input")
+    inputs = p.add_mutually_exclusive_group()
+    inputs.add_argument("--input", help="one input as bits, x1 first")
+    inputs.add_argument("--all", action="store_true", help="run every input")
     p.add_argument(
         "--semiclassical",
         action="store_true",

@@ -29,21 +29,23 @@ an evaluator, and it has two:
   every input.  A cell mod 4 is two such planes, ``hi`` (the classical
   bit) and ``lo`` (the half turn).
 
-One rule splits every circuit.  A lane run takes Toffoli gates in order
-until a ``v`` or ``v+`` gate, or until its swaps, counted before they are
-made, pass half the states plus two per gate.  A palindrome's left
-half opens with such a run; its right half closes with the mirror run,
-which undoes it and so is read off the same table, not run.  Only the
-gates between the two runs, the middle, are left: lane swaps run it if
-they take it whole, and the bit-sliced evaluator otherwise.  A circuit
-that is not a palindrome is all middle.
+One plan runs every circuit.  A lane run L opens it: L takes Toffoli
+gates in order until a ``v`` or ``v+`` gate, or until its swaps, counted
+before they are made, pass half the states plus two per gate; in a
+palindrome it also stops at the half.  A palindrome's right half closes
+with the mirror run, which undoes L and so is read off L's table, not
+run.  The core, the gates between, is all that is left: lane swaps run a
+palindrome's core if they take it whole, and the bit-sliced evaluator
+runs any other core, from the state L leaves each input in.
 
 The bit-sliced evaluator also records how each lane first fails: the
 line and cell of a control read of a half-turned cell, or else its cells
-at the end.  ``simulate_all`` words each failing input's reason from that
-record, as the per-input oracles word their error, so ``revpal simulate
---all`` runs no input alone; a palindrome whose middle fails takes one
-more bit-sliced run, of the whole circuit.
+at the end.  ``simulate_all`` words each failing input's reason from the
+core's record, as the per-input oracles word their error, so ``revpal
+simulate --all`` runs no input alone and no gate twice.  A lane the core
+leaves half-turned fails in the mirror run, whose Toffoli gates keep
+every half turn, so the record goes on into the mirror run only until
+each such lane has failed a read.
 
 ``simulate_all`` is limited to ``MAX_LINES`` = 16 lines, the largest
 permutation degree; ``equivalent_with_ancilla`` runs one line more.
@@ -148,7 +150,7 @@ def _input_columns(lines: int) -> list[int]:
     return columns
 
 
-def _simulate_columns(lines: int, gates) -> tuple[list[int], int, list[int], list]:
+def _simulate_columns(lines: int, gates, start=None) -> tuple[list[int], int, list[int], list]:
     """Run ``gates`` on all 2**lines inputs at once, one bit lane per input.
 
     Returns the output columns ``hi``, the mask of lanes where the
@@ -157,12 +159,17 @@ def _simulate_columns(lines: int, gates) -> tuple[list[int], int, list[int], lis
     failure is a control read of that line in that cell.  The other
     failing lanes end with a half-rotated cell.  Those lanes are exactly
     the inputs on which ``simulate_semiclassical`` or ``classical_readout``
-    raises, and their output bits are meaningless.
+    raises, and their output bits are meaningless.  The run stops early
+    once every lane has failed a read.
+
+    ``start``, a ``(hi, failed, lo)`` triple, goes on from the columns an
+    earlier run left instead of from the inputs; the lanes of ``failed``
+    count as failed already, so ``reads`` names only the others.
     """
-    hi = _input_columns(lines)
-    lo = [0] * lines
+    hi, failed, lo = start or (_input_columns(lines), 0, [0] * lines)
     full = (1 << (1 << lines)) - 1
-    turned = failed = 0  # turned: the lines some v or v+ has targeted
+    # turned: the lines some v or v+ has targeted
+    turned = sum(1 << i for i, plane in enumerate(lo) if plane)
     reads = []
     for gate in gates:
         # The control test x & care == value, lane-wise: the positive
@@ -182,6 +189,8 @@ def _simulate_columns(lines: int, gates) -> tuple[list[int], int, list[int], lis
                 if new:
                     failed |= new
                     reads += (i + 1, 1, new & ~hi[i]), (i + 1, 3, new & hi[i])
+            if failed == full:
+                break
         t = gate.target - 1
         if gate.kind == "t":
             hi[t] ^= fire
@@ -213,25 +222,6 @@ def _lane_bits(mask: int, width: int) -> bytes:
 def _lanes(mask: int, width: int):
     """The lanes x below ``width`` whose bit x of ``mask`` is set, in order."""
     return compress(range(width), _lane_bits(mask, width)) if mask else ()
-
-
-def _reasons(lines: int, hi, failed, lo, reads) -> dict[int, str]:
-    """Why each failing lane of a ``_simulate_columns`` run fails.
-
-    The text is that of the ``SimulationError`` which
-    ``simulate_semiclassical`` or ``classical_readout`` raises on it.
-    """
-    states = 1 << lines
-    reasons = {}
-    for line, cell, mask in reads:
-        reasons.update(dict.fromkeys(_lanes(mask, states), _read_failure(line, cell)))
-        failed &= ~mask
-    if failed:
-        # Bits 2i and 2i + 1 of a lane's word are line x(i+1)'s lo and hi.
-        words = _words([plane for pair in zip(lo, hi) for plane in pair], states)
-        for x in _lanes(failed, states):
-            reasons[x] = _state_failure([words[x] >> 2 * i & 3 for i in range(lines)])
-    return reasons
 
 
 #: Lane swaps a lane run may spend per gate, on top of half the states;
@@ -268,40 +258,42 @@ def _swap_lanes(gates, states: int) -> tuple[list[int], int]:
     return inv, len(gates)
 
 
-def _outputs(circuit: Circuit) -> tuple[list[int], tuple | None]:
+def _outputs(circuit: Circuit) -> tuple[list[int], list[int], tuple, tuple]:
     """The output word of every input, ``1 << circuit.lines`` where its run fails.
 
-    The one choice of evaluator.  A palindrome's left half opens with a
-    lane run L and its right half closes with the mirror run, which
-    computes L^-1; any other circuit has no such runs.  The gates between
-    them, the middle M, run by lane swaps if those take M whole,
-    bit-sliced otherwise.  Input x then ends as L^-1(M(L(x))), and fails
-    where M fails on L(x).  Second comes what ``_simulate_columns``
-    returned if it ran the whole circuit, else None.
+    The one plan, and the one choice of evaluator.  A lane run L opens
+    every circuit: up to the half of a palindrome, as far as lane swaps
+    go in any other.  The core C is the gates after L, up to the mirror
+    run that closes a palindrome and computes L^-1, else to the end.  A
+    palindrome's C runs by lane swaps if those take it whole; any other C
+    runs bit-sliced, where lane y starts in state y, the state L leaves
+    input ``left[y]`` in.  That input ends as ``left[C(y)]`` in a
+    palindrome and as C(y) otherwise, and fails where C fails on lane y.
+    Also returns ``left``, what ``_simulate_columns`` returned on C (a
+    record of no failures if C did not run bit-sliced), and the mirror
+    run's gates.
     """
     states = 1 << circuit.lines
     gates = circuit.gates
     palindrome = circuit.is_palindromic()
-    left, k = _swap_lanes(gates[: len(gates) // 2 if palindrome else 0], states)
-    middle = gates[k : len(gates) - k]
-    inv, ran = _swap_lanes(middle, states)
-    run = None
-    if ran == len(middle):
-        # A palindrome of self-inverse gates computes an involution, so its
-        # inverse table is also its forward table.
-        outputs = inv if palindrome else sorted(range(states), key=inv.__getitem__)
-    else:
-        run = _simulate_columns(circuit.lines, middle)
-        outputs = _words(run[0], states)
-        for x in _lanes(run[1], states):
-            outputs[x] = states
-    if not k:
-        return outputs, run
-    # L's forward table: L(x) is the state whose entry is x.  L^-1 sends
-    # the mark, entry ``states``, to itself.
-    forward = sorted(range(states), key=left.__getitem__)
-    left.append(states)
-    return list(map(left.__getitem__, map(outputs.__getitem__, forward))), None
+    left, k = _swap_lanes(gates[: len(gates) // 2] if palindrome else gates, states)
+    end = len(gates) - k if palindrome else len(gates)
+    core = gates[k:end]
+    # A palindrome of self-inverse gates computes an involution, so its
+    # inverse table is also its forward table.
+    out, ran = _swap_lanes(core, states) if palindrome else (range(states), 0)
+    run = (), 0, (), ()  # no failures
+    if ran < len(core):
+        run = _simulate_columns(circuit.lines, core)
+        out = _words(run[0], states)
+        for y in _lanes(run[1], states):
+            out[y] = states
+    left.append(states)  # L^-1 sends the mark, entry ``states``, to itself
+    out = map(left.__getitem__, out) if palindrome else out
+    outputs = [0] * states
+    for x, y in zip(left, out):
+        outputs[x] = y
+    return outputs, left, run, gates[end:]
 
 
 def simulate_all(circuit: Circuit) -> tuple[list[int], dict[int, str]]:
@@ -317,14 +309,26 @@ def simulate_all(circuit: Circuit) -> tuple[list[int], dict[int, str]]:
             f"cannot run all inputs of a circuit on {circuit.lines} lines "
             f"(at most {MAX_LINES})"
         )
-    outputs, run = _outputs(circuit)
-    if 1 << circuit.lines not in outputs:
-        return outputs, {}
-    if run is None:
-        # Only the middle ran bit-sliced, and the right run may yet read a
-        # line the middle left half-turned: run the whole circuit once.
-        run = _simulate_columns(circuit.lines, circuit.gates)
-    return outputs, _reasons(circuit.lines, *run)
+    outputs, left, (hi, failed, lo, reads), mirror = _outputs(circuit)
+    states = len(outputs)
+    # The lanes the core leaves half-turned without failing a read fail in
+    # the mirror run: at its first read of a half-turned line, or at its
+    # end, since a Toffoli gate never changes a half turn.
+    pending = failed & ~sum(lanes for *_, lanes in reads)
+    if pending and mirror:
+        settled = ((1 << states) - 1) ^ pending
+        hi, _, lo, more = _simulate_columns(circuit.lines, mirror, (hi, settled, lo))
+        reads = reads + more
+        pending &= ~sum(lanes for *_, lanes in more)
+    reasons = {}
+    for line, cell, lanes in reads:
+        reasons.update(dict.fromkeys(_lanes(lanes, states), _read_failure(line, cell)))
+    if pending:
+        # Bits 2i and 2i + 1 of a lane's word are line x(i+1)'s lo and hi.
+        words = _words([plane for pair in zip(lo, hi) for plane in pair], states)
+        for y in _lanes(pending, states):
+            reasons[y] = _state_failure([words[y] >> 2 * i & 3 for i in range(circuit.lines)])
+    return outputs, {left[y]: text for y, text in reasons.items()}
 
 
 def truth_table(circuit: Circuit) -> Permutation:
@@ -360,7 +364,7 @@ def equivalent_with_ancilla(circuit: Circuit, p: Permutation) -> bool:
             f"circuit on {circuit.lines} lines with one ancilla cannot match degree {p.degree}"
         )
     a = circuit.ancilla - 1
-    outputs, _ = _outputs(circuit)
+    outputs = _outputs(circuit)[0]
     # clean[d] is data word d with the ancilla at 0; the input clean[d]
     # must end as clean[p(d)], so a failed clean input, marked, fails too.
     clean = [x for x in range(2 * p.degree) if not x >> a & 1]

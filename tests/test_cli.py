@@ -419,6 +419,19 @@ class TestSimulate:
         f.write_text(OR_CIRCUIT_TEXT)
         assert main(["simulate", "--circuit", str(f)]) == 1
 
+    def test_input_and_all_exclude_each_other(self, capsys, tmp_path):
+        f = tmp_path / "or.rev"
+        f.write_text(OR_CIRCUIT_TEXT)
+        for given, other in (("--all", "--input"), ("--input", "--all")):
+            selection = {"--input": ["--input", "100"], "--all": ["--all"]}
+            argv = ["simulate", "--circuit", str(f), *selection[other], *selection[given]]
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: argument {given}: not allowed with argument {other}\n"
+        assert main(["simulate", "--circuit", str(f)]) == 1
+        assert capsys.readouterr().err == "error: need --input BITS or --all\n"
+
     def test_bad_bits(self, capsys, tmp_path):
         f = tmp_path / "or.rev"
         f.write_text(OR_CIRCUIT_TEXT)

@@ -45,18 +45,21 @@ def random_toffoli_circuit(rng, lines, length):
     return Circuit(lines, gates)
 
 
-def bit_sliced_runs(circuit):
-    """The gate lists that ``_outputs`` hands to the bit-sliced evaluator."""
+def bit_sliced_runs(circuit, run=_outputs):
+    """The gates each bit-sliced evaluator call runs while ``run`` reads
+    ``circuit``: one tuple per ``_simulate_columns`` call, in call order,
+    up to the gate where that call stopped."""
     runs = []
 
-    def record(lines, gates):
-        runs.append(tuple(gates))
-        return _simulate_columns(lines, gates)
+    def record(lines, gates, *start):
+        ran = []
+        runs.append(ran)
+        return _simulate_columns(lines, (ran.append(g) or g for g in gates), *start)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulate, "_simulate_columns", record)
-        _outputs(circuit)
-    return runs
+        run(circuit)
+    return [tuple(ran) for ran in runs]
 
 
 class TestClassical:
@@ -259,14 +262,15 @@ class TestLineCeiling:
         a = circuit.ancilla
         assert circuit.lines == 17 and bit_sliced_runs(circuit) == []
         # A half turn read off the ancilla, after the palindrome, leaves
-        # no palindrome and ends the lane run: all of it runs bit-sliced.
-        # With the ancilla at 1 it fails every input, which only the dirty
+        # no palindrome and ends the lane run: the lane run takes every
+        # gate before it, and only the half turn runs bit-sliced.  With
+        # the ancilla at 1 it fails every input, which only the dirty
         # inputs may; with the ancilla at 0, every clean input.
         dirty, clean = (
             Circuit(17, [*circuit.gates, Gate("v", 1, {a: at})], a) for at in (True, False)
         )
         for c in (dirty, clean):
-            assert bit_sliced_runs(c) == [c.gates]
+            assert bit_sliced_runs(c) == [c.gates[-1:]]
         for c in (circuit, dirty):
             assert equivalent_with_ancilla(c, p)
             assert not equivalent_with_ancilla(c, wrong)
@@ -522,19 +526,24 @@ class TestLaneSwaps:
 
     def test_a_dense_circuit_runs_bit_sliced(self):
         # Every gate is a plain NOT: 2**5 swaps each, against a budget of
-        # half the states, 32, plus two per gate.
+        # half the states, 32, plus two per gate.  The lane run takes the
+        # first; the rest run bit-sliced.
         circuit = Circuit(6, [Gate("t", 1 + i % 6) for i in range(12)])
-        assert bit_sliced_runs(circuit) == [circuit.gates]
+        assert bit_sliced_runs(circuit) == [circuit.gates[1:]]
         assert truth_table(circuit).is_identity()
 
     def test_a_v_gate_runs_bit_sliced(self):
+        # The lane run stops at the first v: the gates from there on run
+        # bit-sliced.
         circuit = Circuit(2, [Gate("t", 1, {2: True}), Gate("v", 2), Gate("v", 2)])
-        assert bit_sliced_runs(circuit) == [circuit.gates]
+        assert bit_sliced_runs(circuit) == [circuit.gates[1:]]
         assert equivalent(circuit, Permutation([2, 3, 1, 0]))
 
     def test_dense_non_palindromes_run_bit_sliced_whole(self):
         # Like the benchmark's generated check files: 400 gates on 7 lines
-        # with at most three controls, so 8 to 64 swaps each.
+        # with at most three controls, so 8 to 64 swaps each.  The lane
+        # run stops within the first few gates, and the core, every gate
+        # after it, runs bit-sliced whole.
         rng = random.Random(7)
         for _ in range(5):
             gates = []
@@ -544,7 +553,8 @@ class TestLaneSwaps:
                 chosen = rng.sample(others, rng.randint(0, 3))
                 gates.append(Gate("t", target, {line: rng.random() < 0.5 for line in chosen}))
             circuit = Circuit(7, gates)
-            assert bit_sliced_runs(circuit) == [circuit.gates]
+            _, k = _swap_lanes(circuit.gates, 1 << 7)
+            assert k < 8 and bit_sliced_runs(circuit) == [circuit.gates[k:]]
 
     def test_a_v_circuit_sends_only_its_middle_bit_sliced(self):
         rng = random.Random(10)
@@ -697,6 +707,117 @@ class TestFailureReasons:
 
         first = settings(phases=[Phase.generate], database=None)
         find(half_turn_palindromes(), right_run_reads, settings=first)
+
+
+@st.composite
+def late_stopping_circuits(draw):
+    """A ``toffoli_circuits`` draw's gate list, then mixed gates, not mirrored.
+
+    The lane run takes the Toffoli gates as far as its budget goes, and may
+    stop late, at the first half turn of the tail; the core, the gates
+    after it, runs bit-sliced.  The draw keeps the Toffoli draw's lines and
+    ancilla mark.
+    """
+    base = draw(toffoli_circuits())
+    tail = draw(gate_lists(base.lines, max_gates=4))
+    return Circuit(base.lines, [*base.gates, *tail], base.ancilla)
+
+
+def core_and_mirror(circuit):
+    """The gates ``_outputs`` runs after its lane run, and the mirror run."""
+    mirror = _outputs(circuit)[3]
+    k = _swap_lanes(circuit.gates, 1 << circuit.lines)[1]
+    start = len(mirror) if circuit.is_palindromic() else k
+    return circuit.gates[start : len(circuit) - len(mirror)], mirror
+
+
+class TestOnePlan:
+    """A lane prefix, then a core, for every circuit; a palindrome's mirror
+    run read off the prefix's table, and run bit-sliced only as far as its
+    failing lanes need to word their reasons."""
+
+    @given(late_stopping_circuits())
+    def test_late_prefixes_match_both_oracles(self, circuit):
+        states = 1 << circuit.lines
+        expected = oracle_outputs(circuit, range(states))
+        outputs, reasons = simulate_all(circuit)
+        assert outputs == [states if y is None else y for y in expected]
+        assert reasons == oracle_reasons(circuit)
+        check_equivalent(circuit)
+        if circuit.ancilla is not None:
+            check_equivalent_with_ancilla(circuit)
+
+    def test_draws_reach_every_plan(self):
+        # The first draw each way will do; shrinking it would take seconds.
+        # About one palindrome draw in six goes on into its mirror run, and
+        # one in twenty-five runs it to the end.
+        first = settings(phases=[Phase.generate], database=None, max_examples=1000)
+
+        def late_core(c):
+            core, _ = core_and_mirror(c)
+            return (
+                not c.is_palindromic()
+                and 0 < len(core) < len(c)
+                and bit_sliced_runs(c) == [core]
+            )
+
+        def continued(c, whole):
+            core, mirror = core_and_mirror(c)
+            runs = bit_sliced_runs(c, simulate_all)
+            if len(runs) != 2 or runs[0] != core:
+                return False
+            ends = any(r.startswith("non-classical state") for r in simulate_all(c)[1].values())
+            return runs[1] == mirror[: len(runs[1])] and (len(runs[1]) == len(mirror)) == ends == whole
+
+        find(late_stopping_circuits(), late_core, settings=first)
+        for whole in (False, True):
+            find(half_turn_palindromes(), lambda c: continued(c, whole), settings=first)
+
+
+def ten_line_palindrome():
+    """The ``build_palindrome`` circuit of a seeded 256-pair involution."""
+    rng = random.Random(10)
+    points = rng.sample(range(1 << 10), 2 * (1 << 8))
+    p = Permutation.from_cycles(zip(points[::2], points[1::2]), 1 << 10)
+    return build_palindrome(p)
+
+
+def expected_row(circuit, x):
+    """Input x's entry in ``simulate_all``'s table and its reason, per input."""
+    try:
+        return classical_readout(simulate_semiclassical(circuit, x)), None
+    except SimulationError as exc:
+        return 1 << circuit.lines, str(exc)
+
+
+class TestNoSecondPass:
+    """``simulate_all`` hands each gate to the bit-sliced evaluator at most
+    once, on the failing shapes of the large-n CI run at ten lines."""
+
+    def test_a_half_turned_centre_runs_with_a_short_stretch_of_the_mirror(self):
+        gates = list(ten_line_palindrome().gates)
+        half = len(gates) // 2
+        gates[half] = Gate("v", gates[half].target, gates[half].controls)
+        circuit = Circuit(10, gates)
+        runs = bit_sliced_runs(circuit, simulate_all)
+        ran = [g for run in runs for g in run]
+        assert runs[0] == (gates[half],) and len(runs) == 2
+        # One stretch from the centre on: no gate twice, and only a few of
+        # the mirror run's gates.
+        assert ran == gates[half : half + len(ran)] and 1 < len(ran) <= 10
+        outputs, reasons = simulate_all(circuit)
+        assert 0 < len(reasons) < 1 << 10
+        for x in random.Random(1).sample(range(1 << 10), 24):
+            assert (outputs[x], reasons.get(x)) == expected_row(circuit, x)
+
+    def test_an_appended_half_turn_runs_alone(self):
+        circuit = ten_line_palindrome()
+        circuit = Circuit(10, [*circuit.gates, Gate("v", 1)])
+        assert bit_sliced_runs(circuit, simulate_all) == [circuit.gates[-1:]]
+        outputs, reasons = simulate_all(circuit)
+        assert outputs == [1 << 10] * (1 << 10) and len(reasons) == 1 << 10
+        for x in random.Random(2).sample(range(1 << 10), 24):
+            assert (outputs[x], reasons[x]) == expected_row(circuit, x)
 
 
 def _bits(value, lines):
