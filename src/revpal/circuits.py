@@ -64,12 +64,21 @@ class Gate:
         pairs = [(operator.index(line), bool(pol)) for line, pol in items]
         if pairs and min(pairs)[0] < 1:
             raise ValueError("control lines must be >= 1")
-        _fill(self, kind, target, *_control_masks(pairs, target))
+        care, value = _control_masks(pairs, target)
+        _set_kind(self, kind)
+        _set_target(self, target)
+        _set_care(self, care)
+        _set_value(self, value)
 
     @classmethod
     def _from_masks(cls, kind: str, target: int, care: int, value: int) -> "Gate":
         """A gate from masks its caller derived from already valid lines."""
-        return _fill(object.__new__(cls), kind, target, care, value)
+        gate = object.__new__(cls)
+        _set_kind(gate, kind)
+        _set_target(gate, target)
+        _set_care(gate, care)
+        _set_value(gate, value)
+        return gate
 
     @property
     def controls(self) -> Controls:
@@ -125,14 +134,6 @@ def _control_masks(pairs, target: int) -> tuple[int, int]:
 # through; bound once, they cost about two thirds of object.__setattr__.
 _set_kind, _set_target = Gate.kind.__set__, Gate.target.__set__
 _set_care, _set_value = Gate.care.__set__, Gate.value.__set__
-
-
-def _fill(gate: Gate, kind: str, target: int, care: int, value: int) -> Gate:
-    _set_kind(gate, kind)
-    _set_target(gate, target)
-    _set_care(gate, care)
-    _set_value(gate, value)
-    return gate
 
 
 @dataclass(frozen=True)
@@ -212,68 +213,84 @@ def parse_circuit(text: str) -> Circuit:
     ``.ancilla i``.  Each remaining line is one gate: a kind token (``t``,
     ``v`` or ``v+``) followed by control tokens ``x<i>`` (positive) or
     ``-x<i>`` (negative), the final token being the target ``x<i>``.
-    Tokens are separated by any white space.
+    Tokens are separated by any white space.  Lines end only at ``\\n``,
+    ``\\r\\n`` and ``\\r``; a form feed, ``\\x85``, ``\\u2028`` and
+    the other breaks that ``str.splitlines`` knows are white space.
     """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines: int | None = None
+    low = 0  # the care bits, (1 << lines) - 1
     ancilla: int | None = None
     ancilla_at = None
     gates: list[Gate] = []
     # Gate lines repeat (a palindrome mirrors its flank), and once .lines is
-    # set a gate line always parses to the same gate, and a control token
-    # to the same (line, positive) pair.
+    # set a gate line always parses to the same gate.
     seen: dict[str, Gate] = {}
-    known: dict[str, tuple[int, bool]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # code[tok]: a checked control token's care bit, plus that bit shifted
+    # up by .lines when the token is positive.  Summed over a gate line's
+    # distinct controls, the codes give care + (value << lines).
+    code: dict[str, int] = {}
+    read = code.__getitem__
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         gate = seen.get(raw)
         if gate is not None:
             gates.append(gate)
             continue
-        stripped = raw.split("#", 1)[0]
-        tokens = stripped.split()
+        tokens = raw.partition("#")[0].split()
         if not tokens:
             continue
         head = tokens[0]
-        where = (lineno, stripped)
-        if head == ".lines":
-            lines = _directive_int(tokens, where, ".lines", lines)
-            if lines > MAX_CIRCUIT_LINES:
-                raise _fault(where, 1, f".lines wants at most {MAX_CIRCUIT_LINES}")
-        elif head == ".ancilla":
-            ancilla = _directive_int(tokens, where, ".ancilla", ancilla)
-            ancilla_at = where
-        elif head in GATE_KINDS:
-            if lines is None:
-                raise _fault(where, 0, "gate before .lines header")
-            gate = seen[raw] = _parse_gate(tokens, where, lines, known)
+        if head in GATE_KINDS:
+            try:
+                target = read(tokens[-1])
+                controls = sum(map(read, tokens[1:-1]))
+            except KeyError:  # a token not checked yet, no target or no .lines
+                target, controls = _read_gate(tokens, code, lines, lineno, raw)
+            care, bit = controls & low, target & low
+            # One bit test per fault: a repeated control carries, leaving
+            # fewer care bits than controls; a negated target has no value
+            # bit; a target among the controls overlaps the care bits.
+            if care.bit_count() < len(tokens) - 2 or target == bit or care & bit:
+                raise _gate_fault(tokens, code, lines, lineno, raw)
+            gate = seen[raw] = Gate._from_masks(head, bit.bit_length(), care, controls >> lines)
             gates.append(gate)
+        elif head == ".lines":
+            lines = _directive_int(tokens, lineno, raw, ".lines", lines)
+            if lines > MAX_CIRCUIT_LINES:
+                raise _fault(lineno, raw, 1, f".lines wants at most {MAX_CIRCUIT_LINES}")
+            low = (1 << lines) - 1
+        elif head == ".ancilla":
+            ancilla = _directive_int(tokens, lineno, raw, ".ancilla", ancilla)
+            ancilla_at = lineno, raw
         else:
-            raise _fault(where, 0, f"expected a directive or gate kind, got {_clip(head)}")
+            raise _fault(lineno, raw, 0, f"expected a directive or gate kind, got {_clip(head)}")
     if lines is None:
         raise CircuitParseError(1, 1, "missing .lines header")
     if ancilla is not None and ancilla > lines:
         raise _fault(
-            ancilla_at, 1, f"ancilla line x{_clip(str(ancilla), str)} out of range 1..{lines}"
+            *ancilla_at, 1, f"ancilla line x{_clip(str(ancilla), str)} out of range 1..{lines}"
         )
     # Every gate token and the ancilla were range-checked against .lines above.
     return Circuit._valid(lines, tuple(gates), ancilla)
 
 
-def _fault(where: tuple[int, str], index: int, message: str) -> CircuitParseError:
-    """The error for token ``index`` of ``where``, a line's number and its text before ``#``.
+def _fault(lineno: int, raw: str, index: int, message: str) -> CircuitParseError:
+    """The error for token ``index`` of line ``lineno``, whose text is ``raw``.
 
     Columns are found only here, for the token at fault.
     """
-    lineno, stripped = where
+    stripped = raw.partition("#")[0]
     starts = [m.start() + 1 for m in _TOKEN_RE.finditer(stripped)]
     return CircuitParseError(lineno, starts[index], message)
 
 
-def _directive_int(tokens: list[str], where, name: str, current: int | None) -> int:
+def _directive_int(tokens: list[str], lineno: int, raw: str, name: str, current) -> int:
     """The value of a ``name`` directive; ``current`` is its value so far, if any."""
     if current is not None:
-        raise _fault(where, 0, f"duplicate {name} directive")
+        raise _fault(lineno, raw, 0, f"duplicate {name} directive")
     if len(tokens) != 2:
-        raise _fault(where, 0, f"{name} takes exactly one integer")
+        raise _fault(lineno, raw, 0, f"{name} takes exactly one integer")
     tok = tokens[1]
     try:
         # ASCII digits only, as in a gate's x<i> tokens.
@@ -281,39 +298,52 @@ def _directive_int(tokens: list[str], where, name: str, current: int | None) -> 
     except ValueError:  # more digits than int() reads
         number = 0
     if number < 1:
-        raise _fault(where, 1, f"{name} wants a positive integer, got {_clip(tok)}")
+        raise _fault(lineno, raw, 1, f"{name} wants a positive integer, got {_clip(tok)}")
     return number
 
 
-def _parse_gate(tokens: list[str], where, lines: int, known: dict[str, tuple[int, bool]]) -> Gate:
-    """The gate of one gate line's tokens.
+def _read_gate(tokens: list[str], code: dict[str, int], lines, lineno: int, raw: str):
+    """``(target, controls)``: the target token's code and the sum of the others'.
 
-    ``known`` maps each control token the file has given so far to its
-    ``(line, positive)`` pair.  A token enters it only once it has passed
-    its checks, so the checks and their errors are those of a first read.
+    For a gate line with a token ``code`` lacks.  Each such token is
+    checked, left to right, and enters ``code`` only once it has passed,
+    so the checks and their errors are those of a first read.
     """
+    if lines is None:
+        raise _fault(lineno, raw, 0, "gate before .lines header")
     if len(tokens) < 2:
-        raise _fault(where, 0, "gate needs a target line")
-    pairs = []
+        raise _fault(lineno, raw, 0, "gate needs a target line")
     for i, tok in enumerate(tokens[1:], 1):
-        pair = known.get(tok)
-        if pair is None:
-            m = _CONTROL_RE.match(tok)
-            if not m:
-                raise _fault(where, i, f"expected x<i> or -x<i>, got {_clip(tok)}")
-            digits = m.group(2).lstrip("0") or "0"  # as int() prints it; int() may refuse
-            if len(digits) > len(str(lines)) or not 1 <= int(digits) <= lines:
-                raise _fault(where, i, f"line x{_clip(digits, str)} out of range 1..{lines}")
-            pair = known[tok] = (int(digits), m.group(1) != "-")
-        pairs.append(pair)
-    target, positive = pairs.pop()
-    if not positive:
-        raise _fault(where, -1, "the target (last token) cannot be negated")
-    try:
-        care, value = _control_masks(pairs, target)
-    except ValueError as exc:
-        raise _fault(where, -1, str(exc)) from None
-    return Gate._from_masks(tokens[0], target, care, value)
+        if tok in code:
+            continue
+        m = _CONTROL_RE.match(tok)
+        if not m:
+            raise _fault(lineno, raw, i, f"expected x<i> or -x<i>, got {_clip(tok)}")
+        digits = m.group(2).lstrip("0") or "0"  # as int() prints it; int() may refuse
+        if len(digits) > len(str(lines)) or not 1 <= int(digits) <= lines:
+            raise _fault(lineno, raw, i, f"line x{_clip(digits, str)} out of range 1..{lines}")
+        bit = 1 << (int(digits) - 1)
+        code[tok] = bit if m.group(1) else bit | bit << lines
+    return code[tokens[-1]], sum(map(code.__getitem__, tokens[1:-1]))
+
+
+def _gate_fault(tokens: list[str], code: dict[str, int], lines: int, lineno: int, raw: str):
+    """The error, at the target's column, of a gate line that fails a bit test.
+
+    Every token of the line is in ``code``.  A control fault is worded by
+    ``_control_masks``, the one control rule.
+    """
+    low = (1 << lines) - 1
+    target = code[tokens[-1]]
+    if target <= low:
+        message = "the target (last token) cannot be negated"
+    else:
+        pairs = [((c & low).bit_length(), c > low) for c in map(code.__getitem__, tokens[1:-1])]
+        try:
+            _control_masks(pairs, (target & low).bit_length())
+        except ValueError as exc:
+            message = str(exc)
+    return _fault(lineno, raw, -1, message)
 
 
 def serialize_circuit(circuit: Circuit) -> str:

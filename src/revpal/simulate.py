@@ -219,6 +219,11 @@ def _lane_bits(mask: int, width: int) -> bytes:
     return format(mask, f"0{width}b").encode().translate(_ASCII_BIT)[::-1]
 
 
+def _lane_int(mask: int, width: int) -> int:
+    """``_lane_bits(mask, width)`` read as one little-endian integer."""
+    return int.from_bytes(_lane_bits(mask, width), "little")
+
+
 def _lanes(mask: int, width: int):
     """The lanes x below ``width`` whose bit x of ``mask`` is set, in order."""
     return compress(range(width), _lane_bits(mask, width)) if mask else ()
@@ -324,10 +329,15 @@ def simulate_all(circuit: Circuit) -> tuple[list[int], dict[int, str]]:
     for line, cell, lanes in reads:
         reasons.update(dict.fromkeys(_lanes(lanes, states), _read_failure(line, cell)))
     if pending:
-        # Bits 2i and 2i + 1 of a lane's word are line x(i+1)'s lo and hi.
-        words = _words([plane for pair in zip(lo, hi) for plane in pair], states)
-        for y in _lanes(pending, states):
-            reasons[y] = _state_failure([words[y] >> 2 * i & 3 for i in range(circuit.lines)])
+        # Byte y of cells[i] is line x(i+1)'s cell in lane y, 2 * hi + lo,
+        # summed over whole planes: each byte of a plane is 0 or 1, so no
+        # byte carries into the next.
+        cells = [
+            (2 * _lane_int(h, states) + _lane_int(l, states)).to_bytes(states, "little")
+            for h, l in zip(hi, lo)
+        ]
+        for y, row in compress(enumerate(zip(*cells)), _lane_bits(pending, states)):
+            reasons[y] = _state_failure(row)
     return outputs, {left[y]: text for y, text in reasons.items()}
 
 

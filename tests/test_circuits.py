@@ -349,6 +349,9 @@ class TestParse:
             (".lines 3\n.ancilla 3\n  .ancilla 2\n", 3, 3, "duplicate .ancilla"),
             (".lines 2\n.ancilla 5\n", 2, 10, "ancilla line x5 out of range"),
             ("# header\n.ancilla 5\n.lines 2\n", 2, 10, "ancilla line x5 out of range"),
+            # Lines end at \r\n and \r as at \n.
+            (".lines 2\r\n.ancilla 5\r\n", 2, 10, "ancilla line x5 out of range"),
+            (".lines 2\r.ancilla 5\r", 2, 10, "ancilla line x5 out of range"),
         ],
     )
     def test_directive_errors_at_their_position(self, text, line, column, message):
@@ -371,6 +374,14 @@ class TestParse:
                 f"line x{'9' * 20}... (5000 characters) out of range 1..3",
             ),
             ("t x2 -x3", 6, "the target (last token) cannot be negated"),
+            # One control written two ways: the repeat is found all the same.
+            ("t x1 x01 x3", 10, "duplicate control line x1"),
+            ("t -x001 x1 x3", 12, "duplicate control line x1"),
+            # A form feed, NEL and LINE SEPARATOR separate tokens; they do
+            # not end the line, though str.splitlines breaks at them.
+            ("t x1\fx9", 6, "line x9 out of range 1..3"),
+            ("t x1\x85x9", 6, "line x9 out of range 1..3"),
+            ("t x1\u2028x9", 6, "line x9 out of range 1..3"),
         ],
     )
     def test_gate_errors_keep_message_and_column(self, gate_line, column, message):
