@@ -1,10 +1,11 @@
 """Structural circuit model: ordered gate lists over n lines, plus a text format.
 
-Gates are structural records; their semantics live in :mod:`revpal.simulate`.
-Three kinds exist: ``"t"`` (Toffoli family: flip the target when every
-control matches its polarity), ``"v"`` (square root of NOT) and ``"v+"``
-(its inverse).  Line ``x_i`` is bit ``i-1`` of a state word, so the lowest
-line is the least significant bit.
+Gates are named tuples ``(kind, target, care, value)``, so a :class:`Gate`
+equals the plain tuple of its four fields; their semantics live in
+:mod:`revpal.simulate`.  Three kinds exist: ``"t"`` (Toffoli family: flip
+the target when every control matches its polarity), ``"v"`` (square root
+of NOT) and ``"v+"`` (its inverse).  Line ``x_i`` is bit ``i-1`` of a
+state word, so the lowest line is the least significant bit.
 
 A gate stores its controls as two masks over those bits: ``care`` has bit
 ``i-1`` set when ``x_i`` is a control, and ``value`` has the same bit set
@@ -27,6 +28,7 @@ import re
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .perm import _clip
 
@@ -39,21 +41,25 @@ Controls = tuple[tuple[int, bool], ...]
 MAX_CIRCUIT_LINES = 1024
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class Gate:
-    """One gate: kind, target line, and polarity-tagged control lines.
-
-    ``controls`` accepts a mapping ``{line: positive}`` or pairs.  It is
-    validated once and kept as the ``care``/``value`` masks; the
-    ``controls`` property reads the pairs back, sorted by line.
-    """
-
+class _GateFields(NamedTuple):
     kind: str
     target: int
     care: int
     value: int
 
-    def __init__(self, kind: str, target: int, controls=()):
+
+class Gate(_GateFields):
+    """One gate: kind, target line, and polarity-tagged control lines.
+
+    A named tuple ``(kind, target, care, value)``.  ``controls`` accepts
+    a mapping ``{line: positive}`` or pairs.  It is validated once and
+    kept as the ``care``/``value`` masks; the ``controls`` property reads
+    the pairs back, sorted by line.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, target: int, controls=()):
         if kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {kind!r}")
         # operator.index, not int(): int() would read 1.5 and "2" as lines.
@@ -64,21 +70,16 @@ class Gate:
         pairs = [(operator.index(line), bool(pol)) for line, pol in items]
         if pairs and min(pairs)[0] < 1:
             raise ValueError("control lines must be >= 1")
-        care, value = _control_masks(pairs, target)
-        _set_kind(self, kind)
-        _set_target(self, target)
-        _set_care(self, care)
-        _set_value(self, value)
+        return tuple.__new__(cls, (kind, target, *_control_masks(pairs, target)))
 
     @classmethod
     def _from_masks(cls, kind: str, target: int, care: int, value: int) -> "Gate":
         """A gate from masks its caller derived from already valid lines."""
-        gate = object.__new__(cls)
-        _set_kind(gate, kind)
-        _set_target(gate, target)
-        _set_care(gate, care)
-        _set_value(gate, value)
-        return gate
+        return tuple.__new__(cls, (kind, target, care, value))
+
+    def __getnewargs__(self):
+        # Pickle and copy rebuild the gate through __new__ and its checks.
+        return self.kind, self.target, self.controls
 
     @property
     def controls(self) -> Controls:
@@ -89,7 +90,7 @@ class Gate:
         return x & self.care == self.value
 
     def max_line(self) -> int:
-        return (self.care | 1 << (self.target - 1)).bit_length()
+        return max(self.care.bit_length(), self.target)
 
     def __repr__(self) -> str:
         return f"Gate(kind={self.kind!r}, target={self.target!r}, controls={self.controls!r})"
@@ -130,12 +131,6 @@ def _control_masks(pairs, target: int) -> tuple[int, int]:
     return care, value
 
 
-# The slots' own setters, which a frozen gate's __setattr__ does not go
-# through; bound once, they cost about two thirds of object.__setattr__.
-_set_kind, _set_target = Gate.kind.__set__, Gate.target.__set__
-_set_care, _set_value = Gate.care.__set__, Gate.value.__set__
-
-
 @dataclass(frozen=True)
 class Circuit:
     """An ordered gate cascade over ``lines`` circuit lines.
@@ -157,7 +152,7 @@ class Circuit:
         if self.lines < 1:
             raise ValueError("a circuit needs at least one line")
         for g in self.gates:
-            if (g.care | 1 << (g.target - 1)) >> self.lines:
+            if g.target > self.lines or g.care >> self.lines:
                 raise ValueError(
                     f"gate {g} uses line x{g.max_line()} but the circuit has {self.lines}"
                 )
@@ -183,7 +178,6 @@ class Circuit:
 
     def is_palindromic(self) -> bool:
         """True iff the gate list equals its own reversal, gate by gate."""
-        # One tuple comparison, in C; it skips the pairs that are one object.
         return self.gates == self.gates[::-1]
 
     def parity(self) -> str:
@@ -361,21 +355,18 @@ def serialize_circuit(circuit: Circuit) -> str:
     first = len(out)
     # Bit i's tokens (-x<i+1>, x<i+1>) at index i, up to the highest line a gate has used.
     spelled: list[tuple[str, str]] = []
-    # Gates repeat, as in parse_circuit.  A tuple key hashes in C, where a
-    # Gate key would run the dataclass's __hash__ and __eq__ in Python.
-    texts: dict[tuple[str, int, int, int], str] = {}
+    # Gates repeat, as in parse_circuit.
+    texts: dict[Gate, str] = {}
     for g in gates:
-        key = (g.kind, g.target, g.care, g.value)
-        text = texts.get(key)
+        text = texts.get(g)
         if text is None:
-            kind, target, care, value = key
             for line in range(len(spelled) + 1, g.max_line() + 1):
                 spelled.append((f"-x{line}", f"x{line}"))
-            tokens = [kind]
-            for i in set_bits(care):
-                tokens.append(spelled[i][value >> i & 1])
-            tokens.append(spelled[target - 1][1])
-            text = texts[key] = " ".join(tokens)
+            tokens = [g.kind]
+            for i in set_bits(g.care):
+                tokens.append(spelled[i][g.value >> i & 1])
+            tokens.append(spelled[g.target - 1][1])
+            text = texts[g] = " ".join(tokens)
         out.append(text)
     if mirror:
         # The first L // 2 gate lines, reversed; none when L < 2.

@@ -16,8 +16,9 @@ so it has the same target too.  A set whose nearest gate swaps other pairs
 is no gate's: its pairs flip several lines, or vary in more than k
 positions.
 
-``MpmctGate`` is a circuit ``Gate`` plus its line count: it swaps ``value``
-plus each assignment of the free lines with its partner across the target.
+``MpmctGate`` is a circuit ``Gate`` plus its line count, a named tuple
+whose fifth field is ``lines``: it swaps ``value`` plus each assignment of
+the free lines with its partner across the target.
 From endpoints ``a``, ``b`` the target bit is ``a ^ b``, ``care`` is every
 other line and ``value`` is ``a & care``.
 """
@@ -40,8 +41,8 @@ __all__ = [
 import operator
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .circuits import Gate, set_bits
 from .perm import Permutation, Transposition
@@ -62,24 +63,35 @@ class _Swaps:
         return Permutation.from_cycles(self.transpositions(), 1 << self.lines)
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class MpmctGate(Gate, _Swaps):
+class _MpmctFields(NamedTuple):
+    kind: str
+    target: int
+    care: int
+    value: int
+    lines: int
+
+
+class MpmctGate(_MpmctFields, Gate, _Swaps):
     """A mixed-polarity multiple-control Toffoli gate on ``lines`` lines.
 
     A ``t`` :class:`Gate` plus its line count: it flips ``target`` iff
     every control line matches its polarity (True for positive: the line
     must carry 1; False for negative).  No controls means a plain NOT.
-    Lines that are neither target nor control are free.
+    Lines that are neither target nor control are free.  ``lines`` is its
+    fifth field, so it never equals its plain gate.
     """
 
-    lines: int
+    __slots__ = ()
 
-    def __init__(self, lines: int, target: int, controls=()):
+    def __new__(cls, lines: int, target: int, controls=()):
         lines = operator.index(lines)
-        Gate.__init__(self, "t", target, controls)
-        if self.max_line() > lines:
-            raise ValueError(f"line x{self.max_line()} out of range 1..{lines}")
-        _set_lines(self, lines)
+        gate = Gate("t", target, controls)
+        if gate.max_line() > lines:
+            raise ValueError(f"line x{gate.max_line()} out of range 1..{lines}")
+        return tuple.__new__(cls, (*gate, lines))
+
+    def __getnewargs__(self):
+        return self.lines, self.target, self.controls
 
     @property
     def num_controls(self) -> int:
@@ -101,21 +113,21 @@ class MpmctGate(Gate, _Swaps):
         return f"MpmctGate(lines={self.lines}, target=x{self.target}, controls=[{ctrl}])"
 
     def circuit_gate(self) -> Gate:
-        return Gate._from_masks("t", self.target, self.care, self.value)
-
-
-_set_lines = MpmctGate.lines.__set__
+        return tuple.__new__(Gate, self[:4])
 
 
 def _mpmct(lines: int, target: int, care: int, value: int) -> MpmctGate:
     """An unchecked MpmctGate, like ``Gate._from_masks``."""
-    gate = MpmctGate._from_masks("t", target, care, value)
-    _set_lines(gate, lines)
-    return gate
+    return tuple.__new__(MpmctGate, ("t", target, care, value, lines))
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class SingleTargetGate(_Swaps):
+class _SingleTargetFields(NamedTuple):
+    lines: int
+    target: int
+    table: int
+
+
+class SingleTargetGate(_SingleTargetFields, _Swaps):
     """Gate flipping ``target`` iff a Boolean function of the other lines holds.
 
     The control function is a truth-table bitmask over the ``2**(n-1)``
@@ -123,19 +135,18 @@ class SingleTargetGate(_Swaps):
     (lowest non-target line = least significant index bit).
     """
 
-    lines: int
-    target: int
-    table: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lines < 1:
+    def __new__(cls, lines: int, target: int, table: int):
+        if lines < 1:
             raise ValueError("a gate needs at least one line")
-        if not 1 <= self.target <= self.lines:
-            raise ValueError(f"target x{self.target} out of range 1..{self.lines}")
-        if not 0 <= self.table < 1 << (1 << (self.lines - 1)):
+        if not 1 <= target <= lines:
+            raise ValueError(f"target x{target} out of range 1..{lines}")
+        if not 0 <= table < 1 << (1 << (lines - 1)):
             raise ValueError(
-                f"control table must fit in {1 << (self.lines - 1)} bits, got {self.table}"
+                f"control table must fit in {1 << (lines - 1)} bits, got {table}"
             )
+        return tuple.__new__(cls, (lines, target, table))
 
     def __repr__(self) -> str:
         return f"SingleTargetGate(lines={self.lines}, target=x{self.target}, table={self.table:#x})"

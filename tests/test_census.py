@@ -97,6 +97,10 @@ class TestPartitions:
         with pytest.raises(ValueError):
             list(partitions(17))
 
+    def test_negative_total(self):
+        with pytest.raises(ValueError, match="^cannot partition a negative total$"):
+            list(partitions(-1))
+
 
 TABLE = {
     # n: (reversible, self-inverse, palindromic, single-target, mpmct, transposition)
@@ -138,6 +142,10 @@ class TestFormulas:
     def test_formula_census_line_ceiling(self):
         with pytest.raises(ValueError):
             formula_census(MAX_LINES + 1)
+
+    def test_formula_census_line_floor(self):
+        with pytest.raises(ValueError, match="^need at least one line$"):
+            formula_census(0)
 
     def test_palindromic_against_type_counts(self):
         for n in (1, 2, 3, 4):

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -175,6 +176,48 @@ class TestGate:
         text = serialize_circuit(circuit)
         assert text == ".lines 200\nt x70 -x200 x1\n"
         assert parse_circuit(text) == circuit
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Gate("x", 1), "unknown gate kind 'x'"),
+            (lambda: Gate("t", 1, {0: True}), "control lines must be >= 1"),
+        ],
+        ids=["kind", "control"],
+    )
+    def test_each_constructor_check_gives_its_reason(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_a_gate_is_the_tuple_of_its_fields(self):
+        g = Gate("t", 3, {2: False, 1: True})
+        assert g == ("t", 3, 0b011, 0b001) == tuple(g)
+        assert hash(g) == hash(("t", 3, 0b011, 0b001))
+        kind, target, care, value = g
+        assert (kind, target, care, value) == (g.kind, g.target, g.care, g.value)
+        assert g._asdict() == {"kind": "t", "target": 3, "care": 0b011, "value": 0b001}
+        flank = MpmctGate(3, 3, {1: True})
+        assert flank == ("t", 3, 0b001, 0b001, 3)
+        assert flank.circuit_gate() == flank[:4]
+        assert flank._fields == ("kind", "target", "care", "value", "lines")
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: Circuit(3, [Gate("t", 10**8)]), lambda: MpmctGate(3, 10**8)],
+        ids=["circuit", "mpmct"],
+    )
+    def test_a_far_target_is_refused_without_its_bit(self, build):
+        # The line check compares integers: 1 << (10**8 - 1) alone would
+        # take 12.5 MB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="x100000000"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_a_far_line_is_named_quickly(self):
         # Listing the controls walks the set bits, not every line below them.
@@ -374,6 +417,7 @@ class TestParse:
                 f"line x{'9' * 20}... (5000 characters) out of range 1..3",
             ),
             ("t x2 -x3", 6, "the target (last token) cannot be negated"),
+            ("t", 1, "gate needs a target line"),
             # One control written two ways: the repeat is found all the same.
             ("t x1 x01 x3", 10, "duplicate control line x1"),
             ("t -x001 x1 x3", 12, "duplicate control line x1"),

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from revpal.circuits import parse_circuit
+from revpal import cli
+from revpal.circuits import Circuit, parse_circuit
 from revpal.cli import _build_parser, main
 from revpal.perm import parse_permutation
 from revpal.simulate import equivalent, equivalent_with_ancilla
@@ -191,6 +192,24 @@ class TestSynth:
             f"error: the {construction} construction needs an involution whose "
             f"transposition count is not a power of two, got {got}\n"
         )
+
+    def test_a_circuit_that_fails_verification_exits_2_unwritten(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # A builder whose circuit is not the permutation's: synth reports
+        # it unverified, prints no circuit and writes no file.
+        monkeypatch.setattr(cli, "build_palindrome", lambda p: Circuit(3))
+        out_file = tmp_path / "wrong.rev"
+        for output in ([], ["-o", str(out_file)]):
+            argv = ["synth", "--perm", "(0 7)", "--mode", "palindrome", *output]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert "verified: false" in captured.out
+            assert "circuit: 0 gates" in captured.out
+            assert ".lines" not in captured.out
+            # stderr's first line is the reason; a time: line follows it.
+            assert captured.err.splitlines()[0] == "synthesized circuit failed verification"
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("where", ["missing/x.rev", "."])
     def test_unwritable_output_exits_1(self, capsys, tmp_path, where):
@@ -414,6 +433,14 @@ class TestSimulate:
         assert code == 4
         assert "non-classical" in out
 
+    def test_nonclassical_single_input_exits_4_with_its_reason(self, capsys, tmp_path):
+        f = tmp_path / "v.rev"
+        f.write_text(".lines 2\nv x1\n")
+        assert main(["simulate", "--circuit", str(f), "--input", "10"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "10 -> non-classical"
+        assert captured.err.splitlines()[0] == "input 10: non-classical state, cells=[3, 0]"
+
     def test_requires_input_selection(self, capsys, tmp_path):
         f = tmp_path / "or.rev"
         f.write_text(OR_CIRCUIT_TEXT)
@@ -485,6 +512,7 @@ class TestGoldenTranscripts:
 
     CASES = {
         "classify_worked.txt": ["classify", "--perm", WORKED_PERM],
+        "classify_not_involution.txt": ["classify", "--perm", "(0 1 2)"],
         "synth_worked.txt": ["synth", "--perm", WORKED_PERM],
         "synth_vgate_worked.txt": ["synth", "--perm", WORKED_PERM, "--mode", "vgate"],
         "census_formula_3.txt": ["census", "--n", "3"],

@@ -15,6 +15,7 @@ from revpal.gates import (
     enumerate_single_target_gates,
     hamming_one_transpositions,
     line_transpositions,
+    nearest_gate,
     recognize_mpmct,
     span_mask,
     transposition_gate,
@@ -136,6 +137,24 @@ class TestMpmctGate:
         with pytest.raises(AttributeError):
             g.target = 2
         assert pickle.loads(pickle.dumps(g)) == copy.copy(g) == g
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: transposition_gate(0, 8, 3), "endpoints 0, 8 out of range for 3 lines"),
+        (lambda: recognize_mpmct([(0, 9)], 3), "endpoint out of range for 3 lines"),
+        (
+            lambda: nearest_gate([], 3, 0),
+            "the nearest gate to an empty transposition set is undefined",
+        ),
+    ],
+    ids=["transposition_gate", "recognize_mpmct", "nearest_gate"],
+)
+def test_points_off_the_lines_or_none_at_all_are_refused(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 class TestSpanMask:
@@ -276,6 +295,28 @@ class TestSingleTarget:
         with pytest.raises(ValueError):
             SingleTargetGate(3, 3, 1 << 4)
         SingleTargetGate(3, 3, (1 << 4) - 1)
+
+    @pytest.mark.parametrize(
+        "lines, target, table, message",
+        [
+            (0, 1, 0, "a gate needs at least one line"),
+            (3, 4, 0, "target x4 out of range 1..3"),
+            (3, 3, 1 << 4, "control table must fit in 4 bits, got 16"),
+        ],
+    )
+    def test_each_check_gives_its_reason(self, lines, target, table, message):
+        with pytest.raises(ValueError) as err:
+            SingleTargetGate(lines, target, table)
+        assert str(err.value) == message
+
+    def test_repr_equality_and_round_trip(self):
+        g = SingleTargetGate(3, 3, 0b1110)
+        assert repr(g) == "SingleTargetGate(lines=3, target=x3, table=0xe)"
+        assert g == SingleTargetGate(lines=3, target=3, table=14) == (3, 3, 14)
+        assert g != SingleTargetGate(3, 2, 0b1110)
+        with pytest.raises(AttributeError):
+            g.table = 0
+        assert pickle.loads(pickle.dumps(g)) == copy.copy(g) == g
 
     def test_transpositions_stay_on_target_line(self):
         for g in enumerate_single_target_gates(2):

@@ -129,6 +129,14 @@ class TestBasics:
         with pytest.raises(ValueError):
             compose(Permutation.identity(4), Permutation.identity(8))
 
+    def test_product_repr_and_equality_with_other_types(self):
+        p = Permutation.transposition(4, 0, 1)
+        q = Permutation.transposition(4, 1, 2)
+        assert p * q == compose(p, q)
+        assert repr(Permutation([1, 0])) == "Permutation([1, 0])"
+        assert (Permutation([0]) == 0) is False
+        assert Permutation([0]) != (0,)
+
 
 class TestCycles:
     def test_worked_example(self):
@@ -366,6 +374,10 @@ class TestNearestConjugator:
         tau = Permutation(data.draw(st.permutations(list(range(degree)))))
         q = conjugate(tau, p)
         assert find_conjugator(p, q) == canonical_conjugator(p, q)
+
+    def test_more_pairs_than_targets_are_refused(self):
+        with pytest.raises(ValueError, match="^fewer pairs to match onto than to match$"):
+            match_pairs([(0, 1), (2, 3)], [(0, 1)], 2)
 
     def test_one_differing_pair_moves_four_points(self):
         # p and q differ in one pair; sigma moves only what it must.

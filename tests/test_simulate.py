@@ -126,6 +126,12 @@ class TestSemiclassical:
         assert classical_readout(simulate_semiclassical(c, 0)) == 0
         assert classical_readout(simulate_semiclassical(c, 1)) == 3
 
+    def test_input_range(self):
+        c = Circuit(2, [Gate("v", 1)])
+        for x in (4, 5, 1 << 40):
+            with pytest.raises(ValueError, match=f"^input {x} out of range for 2 lines$"):
+                simulate_semiclassical(c, x)
+
     def test_non_classical_control_read_rejected(self):
         c = Circuit(2, [Gate("v", 1), Gate("t", 2, {1: True})])
         with pytest.raises(SimulationError):
@@ -225,6 +231,12 @@ class TestEquivalence:
         with pytest.raises(ValueError):
             equivalent_with_ancilla(Circuit(3), Permutation.identity(4))
         assert equivalent_with_ancilla(Circuit(3, ancilla=3), Permutation.identity(4))
+
+    def test_ancilla_degree_mismatch_rejected(self):
+        with pytest.raises(
+            ValueError, match="^circuit on 3 lines with one ancilla cannot match degree 8$"
+        ):
+            equivalent_with_ancilla(Circuit(3, ancilla=3), Permutation.identity(8))
 
     def test_dirty_ancilla_inputs_are_unconstrained(self):
         # Acts as the identity whenever the ancilla is clean, but scrambles
