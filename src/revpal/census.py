@@ -108,17 +108,18 @@ def count_reversible(n: int) -> int:
     return factorial(1 << n)
 
 
-def count_involutions(n: int) -> int:
-    """Self-inverse bijections on n-bit words, the identity included.
+def _with_pairs(points: int, counts: Iterable[int]) -> int:
+    """Involutions on ``points`` points with j swapped pairs, over each j in ``counts``.
 
-    Sums, over the number of swapped pairs j, the ways to choose the 2j
-    moved points times the (2j-1)!! perfect matchings of them.
+    For each j: the ways to choose the 2j moved points times the (2j-1)!!
+    perfect matchings of them.  The three involution rows are this sum.
     """
-    total_points = 1 << n
-    return sum(
-        double_factorial(2 * j - 1) * comb(total_points, 2 * j)
-        for j in range(total_points // 2 + 1)
-    )
+    return sum(double_factorial(2 * j - 1) * comb(points, 2 * j) for j in counts)
+
+
+def count_involutions(n: int) -> int:
+    """Self-inverse bijections on n-bit words, the identity included: any pair count."""
+    return _with_pairs(1 << n, range((1 << n) // 2 + 1))
 
 
 def count_palindromic(n: int) -> int:
@@ -127,11 +128,7 @@ def count_palindromic(n: int) -> int:
     Exactly the functions realizable as an odd palindromic circuit on n
     lines; the identity (zero transpositions) is not among them.
     """
-    total_points = 1 << n
-    return sum(
-        double_factorial((1 << j) - 1) * comb(total_points, 1 << j)
-        for j in range(1, n + 1)
-    )
+    return _with_pairs(1 << n, (1 << j for j in range(n)))
 
 
 def count_single_target(n: int) -> int:
@@ -149,8 +146,8 @@ def count_mpmct(n: int) -> int:
 
 
 def count_transpositions(n: int) -> int:
-    """2**(n-1) * (2**n - 1) unordered pairs of n-bit words."""
-    return (1 << (n - 1)) * ((1 << n) - 1)
+    """Involutions with one pair: the 2**(n-1) * (2**n - 1) pairs of n-bit words."""
+    return _with_pairs(1 << n, (1,))
 
 
 #: The six classes of the counting table, in the order reports list them.

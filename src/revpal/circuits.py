@@ -343,6 +343,9 @@ def _gate_fault(tokens: list[str], code: dict[str, int], lines: int, lineno: int
 def serialize_circuit(circuit: Circuit) -> str:
     """Render a circuit in the text format; parse(serialize(c)) == c.
 
+    That holds for circuits of at most ``MAX_CIRCUIT_LINES`` (1,024)
+    lines: the parser refuses a ``.lines`` header above it.
+
     A palindrome's first half, middle gate included, is rendered, and the
     rest is its lines before the middle, reversed.
     """

@@ -41,11 +41,10 @@ __all__ = [
 import operator
 from collections import Counter
 from collections.abc import Iterable
-from itertools import combinations
 from typing import NamedTuple
 
 from .circuits import Gate, set_bits
-from .perm import Permutation, Transposition
+from .perm import Permutation, Transposition, _masks_of_weight
 
 
 class _Swaps:
@@ -142,7 +141,9 @@ class SingleTargetGate(_SingleTargetFields, _Swaps):
             raise ValueError("a gate needs at least one line")
         if not 1 <= target <= lines:
             raise ValueError(f"target x{target} out of range 1..{lines}")
-        if not 0 <= table < 1 << (1 << (lines - 1)):
+        # By bit length: a 2**(lines-1)-bit bound to compare against would
+        # take 64 GiB at 40 lines.
+        if table < 0 or table.bit_length() > 1 << (lines - 1):
             raise ValueError(
                 f"control table must fit in {1 << (lines - 1)} bits, got {table}"
             )
@@ -258,8 +259,7 @@ def nearest_gate(transpositions: Iterable[Transposition], n: int, free: int) -> 
     endpoints = [v for ab in ts for v in ab]
     full = (1 << n) - 1
     best = (-1, 0, 0)
-    for controls in combinations(range(n), n - 1 - free):
-        care = sum(1 << line for line in controls)
+    for care in _masks_of_weight(n, n - 1 - free):
         # The most common corner of the endpoints projected onto the controls.
         [(value, hits)] = Counter(map(care.__and__, endpoints)).most_common(1)
         if hits > best[0]:

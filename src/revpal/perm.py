@@ -31,7 +31,7 @@ import operator
 import re
 from collections import Counter
 from collections.abc import Iterable
-from itertools import compress
+from itertools import combinations, compress
 
 #: The most lines run on every input at once, or counted by the census.
 MAX_LINES = 16
@@ -275,7 +275,8 @@ def match_pairs(
     for a, b in q_pairs:
         free[a], free[b] = b, a
     rows, todo = [], sorted(p_pairs)
-    for masks in _masks_by_weight(lines):
+    for radius in range(lines + 1):
+        masks = _masks_of_weight(lines, radius)
         left = []
         for c, d in todo:
             near = [((free[x ^ m] ^ y).bit_count(), x ^ m, x, y)
@@ -338,12 +339,9 @@ def _cycles(image, points) -> tuple[tuple[int, ...], ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _masks_by_weight(lines: int) -> tuple[tuple[int, ...], ...]:
-    """Every mask on ``lines`` bits, grouped by popcount 0..lines."""
-    groups: list[list[int]] = [[] for _ in range(lines + 1)]
-    for m in range(1 << lines):
-        groups[m.bit_count()].append(m)
-    return tuple(map(tuple, groups))
+def _masks_of_weight(lines: int, weight: int) -> tuple[int, ...]:
+    """Every mask on ``lines`` bits with ``weight`` bits set, in ``combinations`` order."""
+    return tuple(map(sum, combinations([1 << i for i in range(lines)], weight)))
 
 
 def lines_for_degree(degree: int) -> int:

@@ -539,3 +539,14 @@ class TestGoldenTranscripts:
         assert first == second
         assert first[0] == 0
         assert first[1] == (GOLDEN / "verify_worked.txt").read_text()
+
+    def test_simulate_all_transcript_stable(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _ = run(capsys, "synth", "--perm", WORKED_PERM, "-o", "worked.rev")
+        assert code == 0
+        argv = ["simulate", "--circuit", "worked.rev", "--all"]
+        first = run(capsys, *argv)
+        second = run(capsys, *argv)
+        assert first == second
+        assert first[0] == 0
+        assert first[1] == (GOLDEN / "simulate_worked.txt").read_text()

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -295,6 +296,18 @@ class TestSingleTarget:
         with pytest.raises(ValueError):
             SingleTargetGate(3, 3, 1 << 4)
         SingleTargetGate(3, 3, (1 << 4) - 1)
+
+    def test_table_width_check_allocates_little(self):
+        # The check reads the table's bit length: a bound of 2**(lines-1)
+        # bits to compare against would take 64 GiB at 40 lines.
+        for lines in (40, 10**6):
+            tracemalloc.start()
+            try:
+                SingleTargetGate(lines, 1, 5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
     @pytest.mark.parametrize(
         "lines, target, table, message",

@@ -1,10 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dense_reference import dense_nearest_conjugator
+from revpal import perm
 from revpal.perm import (
     Permutation,
     compose,
@@ -16,6 +18,7 @@ from revpal.perm import (
     one_line,
     parse_permutation,
 )
+from revpal.perm import _masks_of_weight
 
 
 def random_perm(rng, degree):
@@ -378,6 +381,30 @@ class TestNearestConjugator:
     def test_more_pairs_than_targets_are_refused(self):
         with pytest.raises(ValueError, match="^fewer pairs to match onto than to match$"):
             match_pairs([(0, 1), (2, 3)], [(0, 1)], 2)
+
+    def test_masks_of_weight_come_in_combinations_order(self):
+        # gates.nearest_gate keeps the first best control set, so its
+        # choice depends on this order.
+        for lines in range(11):
+            for weight in range(lines + 1):
+                expected = [sum(1 << i for i in c) for c in combinations(range(lines), weight)]
+                assert list(_masks_of_weight(lines, weight)) == expected
+
+    def test_match_pairs_does_not_depend_on_mask_order(self, monkeypatch):
+        # match_pairs takes the least whole (distance, a, x, y) candidate.
+        rng = random.Random(43)
+        draws = []
+        for _ in range(60):
+            lines = rng.randint(1, 8)
+            size = rng.randint(0, 1 << (lines - 1))
+            p_points = rng.sample(range(1 << lines), 2 * size)
+            q_points = rng.sample(range(1 << lines), 2 * size)
+            draws.append((list(zip(p_points[::2], p_points[1::2])),
+                          list(zip(q_points[::2], q_points[1::2])), lines))
+        expected = [match_pairs(*draw) for draw in draws]
+        masks = perm._masks_of_weight
+        monkeypatch.setattr(perm, "_masks_of_weight", lambda lines, w: masks(lines, w)[::-1])
+        assert [match_pairs(*draw) for draw in draws] == expected
 
     def test_one_differing_pair_moves_four_points(self):
         # p and q differ in one pair; sigma moves only what it must.
