@@ -30,9 +30,10 @@ __all__ = [
 
 import itertools
 import json
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .gates import enumerate_gates, enumerate_single_target_gates
 from .perm import MAX_LINES, Permutation
@@ -65,15 +66,11 @@ def centralizer_order(mu: Iterable[int]) -> int:
     The symmetric group on sum(mu) points has exactly ``factorial(N) //
     centralizer_order(mu)`` permutations of cycle type ``mu``.
     """
-    counts: dict[int, int] = {}
-    for part in mu:
+    counts = Counter(mu)  # keys in order of first appearance
+    for part in counts:
         if part < 1:
             raise ValueError(f"partition parts must be positive, got {part}")
-        counts[part] = counts.get(part, 0) + 1
-    z = 1
-    for part, a in counts.items():
-        z *= part**a * factorial(a)
-    return z
+    return prod(part**a * factorial(a) for part, a in counts.items())
 
 
 def count_of_type(mu: Iterable[int], degree: int | None = None) -> int:
@@ -228,44 +225,27 @@ def iter_involutions(degree: int) -> Iterator[Permutation]:
         yield Permutation(image)
 
 
-def _is_power_of_two(m: int) -> bool:
-    return m >= 1 and m & (m - 1) == 0
-
-
 def brute_force_census(n: int) -> CensusReport:
     """The six class counts by direct enumeration; supports n <= 3.
 
     Reversible functions are counted by enumerating S_{2**n} outright; the
-    involution classes come from an involution generator; the gate classes
-    from enumerating every gate and collecting distinct permutations.
+    involution classes from one tally of the generated involutions by
+    transposition count; the gate classes from enumerating every gate and
+    collecting distinct permutations.
     """
     if not 1 <= n <= BRUTE_FORCE_MAX_LINES:
         raise ValueError(
             f"brute-force census supports 1..{BRUTE_FORCE_MAX_LINES} lines, got {n}"
         )
     degree = 1 << n
-    reversible = sum(1 for _ in itertools.permutations(range(degree)))
-    involutions = 0
-    palindromic = 0
-    transpositions = 0
-    for p in iter_involutions(degree):
-        involutions += 1
-        s = p.size()
-        if _is_power_of_two(s):
-            palindromic += 1
-        if s == 1:
-            transpositions += 1
-    mpmct = len({g.permutation() for g in enumerate_gates(n)})
-    single_target = len({g.permutation() for g in enumerate_single_target_gates(n)})
-    return CensusReport(
-        n,
-        "brute-force",
-        {
-            "reversible": reversible,
-            "self-inverse": involutions,
-            "palindromic": palindromic,
-            "single-target": single_target,
-            "mpmct": mpmct,
-            "transposition": transpositions,
-        },
+    sizes = Counter(p.size() for p in iter_involutions(degree))
+    # One count per row of _FORMULAS, in its order.
+    counts = (
+        sum(1 for _ in itertools.permutations(range(degree))),
+        sum(sizes.values()),
+        sum(count for s, count in sizes.items() if s and not s & (s - 1)),
+        len({g.permutation() for g in enumerate_single_target_gates(n)}),
+        len({g.permutation() for g in enumerate_gates(n)}),
+        sizes[1],
     )
+    return CensusReport(n, "brute-force", dict(zip(_FORMULAS, counts)))

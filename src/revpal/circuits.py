@@ -136,7 +136,9 @@ class Circuit:
     """An ordered gate cascade over ``lines`` circuit lines.
 
     ``ancilla``, when set, marks one line as zero-initialized: consumers
-    promise it enters as 0 and should leave as 0.
+    promise it enters as 0 and should leave as 0.  Each gate is kept as
+    its four-field :class:`Gate`, so circuits, and a circuit and its
+    reversal, compare gate by gate.
     """
 
     lines: int
@@ -144,18 +146,21 @@ class Circuit:
     ancilla: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
         # operator.index, as in Gate: a float or str line count raises here.
         object.__setattr__(self, "lines", operator.index(self.lines))
         if self.ancilla is not None:
             object.__setattr__(self, "ancilla", operator.index(self.ancilla))
         if self.lines < 1:
             raise ValueError("a circuit needs at least one line")
+        gates = []
         for g in self.gates:
             if g.target > self.lines or g.care >> self.lines:
                 raise ValueError(
                     f"gate {g} uses line x{g.max_line()} but the circuit has {self.lines}"
                 )
+            # Any other gate record, such as an MpmctGate, keeps its four gate fields.
+            gates.append(g if type(g) is Gate else Gate._from_masks(*g[:4]))
+        object.__setattr__(self, "gates", tuple(gates))
         if self.ancilla is not None and not 1 <= self.ancilla <= self.lines:
             raise ValueError(f"ancilla line x{self.ancilla} out of range")
 
@@ -344,7 +349,8 @@ def serialize_circuit(circuit: Circuit) -> str:
     """Render a circuit in the text format; parse(serialize(c)) == c.
 
     That holds for circuits of at most ``MAX_CIRCUIT_LINES`` (1,024)
-    lines: the parser refuses a ``.lines`` header above it.
+    lines, the parser refusing a ``.lines`` header above it, and also for
+    circuits given ``MpmctGate``s, which keep only their four gate fields.
 
     A palindrome's first half, middle gate included, is rendered, and the
     rest is its lines before the middle, reversed.

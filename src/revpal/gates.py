@@ -77,7 +77,8 @@ class MpmctGate(_MpmctFields, Gate, _Swaps):
     every control line matches its polarity (True for positive: the line
     must carry 1; False for negative).  No controls means a plain NOT.
     Lines that are neither target nor control are free.  ``lines`` is its
-    fifth field, so it never equals its plain gate.
+    fifth field, so it never equals its plain gate; a ``Circuit`` stores
+    it as that plain gate.
     """
 
     __slots__ = ()
@@ -137,6 +138,8 @@ class SingleTargetGate(_SingleTargetFields, _Swaps):
     __slots__ = ()
 
     def __new__(cls, lines: int, target: int, table: int):
+        # operator.index, as in Gate: a float or str field raises here.
+        lines, target, table = map(operator.index, (lines, target, table))
         if lines < 1:
             raise ValueError("a gate needs at least one line")
         if not 1 <= target <= lines:
@@ -222,21 +225,29 @@ def recognize_mpmct(
 
     Returns None when the set is not realizable by one gate: endpoints on
     several target lines, a non-power-of-two count, or ``2**(k-1)`` pairs
-    varying in other than k positions.  The input must be pairwise disjoint.
-    The candidate is ``nearest_gate``, which gives a gate's own pairs back.
+    varying in other than k positions.  The input must be pairs of points
+    on n lines, pairwise disjoint.  The candidate is ``nearest_gate``, which
+    gives a gate's own pairs back.
     """
-    ts = {(min(ab), max(ab)) for ab in transpositions}
-    if not ts:
+    ts = _read_pairs(transpositions, n)
+    if not ts or len(ts) & (len(ts) - 1):
         return None
+    gate = _nearest_gate(ts, n, len(ts).bit_length() - 1)
+    return gate if gate.transpositions() == ts else None
+
+
+def _read_pairs(transpositions: Iterable[Transposition], n: int) -> set[Transposition]:
+    """The pairs as ``(min, max)``, each of two points on n lines, pairwise disjoint."""
+    try:
+        ts = {(min(a, b), max(a, b)) for a, b in transpositions}
+    except ValueError:  # an entry of more or fewer than two items
+        raise ValueError("transpositions must be pairs of points") from None
     endpoints = [v for ab in ts for v in ab]
     if len(set(endpoints)) != len(endpoints):
         raise ValueError("transpositions must be pairwise disjoint")
     if any(not 0 <= v < 1 << n for v in endpoints):
         raise ValueError(f"endpoint out of range for {n} lines")
-    if len(ts) & (len(ts) - 1):
-        return None
-    gate = nearest_gate(ts, n, len(ts).bit_length() - 1)
-    return gate if gate.transpositions() == ts else None
+    return ts
 
 
 def nearest_gate(transpositions: Iterable[Transposition], n: int, free: int) -> MpmctGate:
@@ -249,13 +260,20 @@ def nearest_gate(transpositions: Iterable[Transposition], n: int, free: int) -> 
     endpoint, and its other endpoint then moves one bit less when the pair
     differs in the target.  Ties go to the line along which the most pairs
     in the subcube lie, then to the lowest line.  A set that is one gate's
-    pairs gives that gate back.
+    pairs gives that gate back.  The pairs are checked as ``recognize_mpmct``
+    checks them.
     """
     if not 0 <= free <= n - 1:
         raise ValueError(f"a gate on {n} lines has 0..{n - 1} free lines, got {free}")
-    ts = sorted(transpositions)
+    ts = _read_pairs(transpositions, n)
     if not ts:
         raise ValueError("the nearest gate to an empty transposition set is undefined")
+    return _nearest_gate(ts, n, free)
+
+
+def _nearest_gate(transpositions, n: int, free: int) -> MpmctGate:
+    """``nearest_gate`` of pairs known valid: ``(min, max)``, disjoint, on n lines."""
+    ts = sorted(transpositions)
     endpoints = [v for ab in ts for v in ab]
     full = (1 << n) - 1
     best = (-1, 0, 0)

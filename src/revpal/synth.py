@@ -32,7 +32,7 @@ __all__ = [
 from dataclasses import dataclass
 
 from .circuits import Circuit, Gate
-from .gates import MpmctGate, nearest_gate
+from .gates import MpmctGate, _nearest_gate
 from .perm import Permutation, _nearest_conjugator, lines_for_degree, match_pairs
 
 NOT_INVOLUTION = "not-involution"
@@ -171,7 +171,8 @@ def _embedding(p: Permutation, n: int) -> tuple[MpmctGate, list, tuple, list]:
     2**n points.
     """
     pairs = p.transpositions()
-    gate = nearest_gate(pairs, n, (len(pairs) - 1).bit_length())
+    # p's pairs are valid by construction, so they are not checked again.
+    gate = _nearest_gate(pairs, n, (len(pairs) - 1).bit_length())
     gate_pairs = gate.transpositions()
     rows = match_pairs(pairs, gate_pairs, n)
     surplus = []

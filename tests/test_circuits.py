@@ -16,7 +16,7 @@ from revpal.circuits import (
     parse_circuit,
     serialize_circuit,
 )
-from revpal.gates import MpmctGate
+from revpal.gates import MpmctGate, enumerate_gates
 
 FIG_OR = ".lines 3\nt -x1 -x2 x3\nt x3\n"
 
@@ -303,6 +303,20 @@ class TestCircuit:
         assert Circuit(3, [flank, Gate("t", 1), plain]).is_palindromic()
         assert Circuit(3, [plain, flank]).is_palindromic()
         assert not Circuit(3, [flank, Gate("t", 1, {2: True})]).is_palindromic()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_an_mpmct_gate_is_kept_as_its_plain_gate(self, n):
+        flank = enumerate_gates(n)
+        c = Circuit(n, flank)
+        assert all(type(g) is Gate for g in c.gates)
+        assert c == Circuit(n, [g.circuit_gate() for g in flank])
+        assert parse_circuit(serialize_circuit(c)) == c
+        for g in flank:
+            mirrored = Circuit(n, [g, Gate("t", 1), g.circuit_gate()])
+            assert mirrored.is_palindromic()
+            assert parse_circuit(serialize_circuit(mirrored)) == mirrored
+        # A line count past the circuit's is not kept either.
+        assert Circuit(2, [MpmctGate(5, 1)]).gates == (Gate("t", 1),)
 
     @given(st.data())
     def test_is_palindromic_is_the_pairwise_definition(self, data):

@@ -158,6 +158,25 @@ def test_points_off_the_lines_or_none_at_all_are_refused(call, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ({(0, 300)}, "endpoint out of range for 3 lines"),
+        ({(-1, 0)}, "endpoint out of range for 3 lines"),
+        ({(0, 1), (0, 2)}, "transpositions must be pairwise disjoint"),
+        ({(5, 5)}, "transpositions must be pairwise disjoint"),
+        ([(0, 1, 5)], "transpositions must be pairs of points"),
+        ([(0,)], "transpositions must be pairs of points"),
+    ],
+    ids=["high", "negative", "shared-point", "one-point", "triple", "single"],
+)
+def test_nearest_gate_refuses_what_recognize_mpmct_refuses(pairs, message):
+    for call in (lambda: nearest_gate(pairs, 3, 0), lambda: recognize_mpmct(pairs, 3)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+
 class TestSpanMask:
     def test_worked_examples(self):
         assert span_mask({(4, 5), (6, 7)}) == 0b011
@@ -321,6 +340,15 @@ class TestSingleTarget:
         with pytest.raises(ValueError) as err:
             SingleTargetGate(lines, target, table)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "lines, target, table",
+        [(3.0, 1, 5), (3, 1.0, 5), (3, 1, 5.0)],
+        ids=["lines", "target", "table"],
+    )
+    def test_a_field_that_is_no_integer_fails_at_construction(self, lines, target, table):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            SingleTargetGate(lines, target, table)
 
     def test_repr_equality_and_round_trip(self):
         g = SingleTargetGate(3, 3, 0b1110)

@@ -88,6 +88,13 @@ class TestMiddleGate:
         g = nearest_gate([(5, 7), (0, 6)], 3, 1)
         assert g == MpmctGate(3, 2, {3: True})
 
+    def test_pairs_are_read_low_point_first(self):
+        # A pair given high point first is read as (min, max), so the
+        # order within a pair cannot change the gate.
+        g = MpmctGate(3, 2, {1: True})
+        assert nearest_gate([(1, 2), (5, 6)], 3, 1) == g
+        assert nearest_gate([(2, 1), (6, 5)], 3, 1) == g
+
 
 class TestTranspositionChain:
     def test_adjacent_is_single_gate(self):
