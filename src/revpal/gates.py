@@ -239,9 +239,11 @@ def recognize_mpmct(
 def _read_pairs(transpositions: Iterable[Transposition], n: int) -> set[Transposition]:
     """The pairs as ``(min, max)``, each of two points on n lines, pairwise disjoint."""
     try:
-        ts = {(min(a, b), max(a, b)) for a, b in transpositions}
+        # operator.index, as in Gate: a float or str point raises here.
+        pairs = [(operator.index(a), operator.index(b)) for a, b in transpositions]
     except ValueError:  # an entry of more or fewer than two items
         raise ValueError("transpositions must be pairs of points") from None
+    ts = {(min(ab), max(ab)) for ab in pairs}
     endpoints = [v for ab in ts for v in ab]
     if len(set(endpoints)) != len(endpoints):
         raise ValueError("transpositions must be pairwise disjoint")

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from revpal.circuits import (
     GATE_KINDS,
     MAX_CIRCUIT_LINES,
+    _BLOCK,
     Circuit,
     CircuitParseError,
     Gate,
+    _block_text,
     parse_circuit,
     serialize_circuit,
 )
@@ -81,6 +83,28 @@ def shared_gate_circuits(draw):
     used = stock + [twin(g) if copied else g for g, copied in uses]
     ancilla = draw(st.none() | st.integers(1, lines))
     return Circuit(lines, draw(st.permutations(used)), ancilla)
+
+
+#: Lines at the edges of the writer's blocks of _BLOCK lines, and the top
+#: lines of the widest circuit a file may declare.
+EDGE_LINES = (_BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1, *range(1017, 1025))
+
+
+@st.composite
+def block_edge_circuits(draw):
+    """Circuits on 1..1,024 lines whose gates mostly use lines at block
+    edges; some gates have no controls, and some circuits are palindromes."""
+    lines = draw(st.sampled_from(EDGE_LINES) | st.integers(1, MAX_CIRCUIT_LINES))
+    line = st.sampled_from([i for i in EDGE_LINES if i <= lines]) | st.integers(1, lines)
+    built = []
+    for _ in range(draw(st.integers(0, 6))):
+        target = draw(line)
+        controls = draw(st.dictionaries(line, st.booleans(), max_size=10))
+        controls.pop(target, None)
+        built.append(Gate(draw(st.sampled_from(GATE_KINDS)), target, controls))
+    if draw(st.booleans()):
+        built += built[-2::-1] if draw(st.booleans()) else built[::-1]
+    return Circuit(lines, built, draw(st.none() | st.integers(1, lines)))
 
 
 @st.composite
@@ -550,6 +574,31 @@ class TestRoundTrip:
     def test_serialize_costs_what_the_gates_use_not_the_line_count(self):
         c = Circuit(10**9, [Gate("t", 5, {2: False})])
         assert serialize_circuit(c) == ".lines 1000000000\nt -x2 x5\n"
+
+    def test_serialize_cost_follows_the_controls_not_the_highest_line(self):
+        # One control far up: the writer jumps to its block, and neither
+        # walks nor spells the million lines below it.
+        c = Circuit(10**6, [Gate("t", 10**6, {999_999: True})])
+        started = time.perf_counter()
+        tracemalloc.start()
+        try:
+            text = serialize_circuit(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - started < 1
+        assert text == ".lines 1000000\nt x999999 x1000000\n"
+        assert peak < 2 << 20
+
+    @given(block_edge_circuits())
+    def test_serialize_matches_the_formatter_across_block_edges(self, circuit):
+        text = serialize_circuit(circuit)
+        assert text == reference_text(circuit)
+        assert parse_circuit(text) == circuit
+        # The block table only saves work: written from an empty table,
+        # the bytes are the same.
+        _block_text.cache_clear()
+        assert serialize_circuit(circuit) == text
 
     @given(shared_gate_circuits())
     def test_serialize_matches_the_token_by_token_formatter(self, circuit):

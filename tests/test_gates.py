@@ -177,6 +177,13 @@ def test_nearest_gate_refuses_what_recognize_mpmct_refuses(pairs, message):
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize("pairs", [{(0.5, 1)}, {(0, 1.0)}], ids=["low", "high"])
+def test_a_point_that_is_no_integer_is_refused_before_the_search(pairs):
+    for call in (lambda: nearest_gate(pairs, 3, 0), lambda: recognize_mpmct(pairs, 3)):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            call()
+
+
 class TestSpanMask:
     def test_worked_examples(self):
         assert span_mask({(4, 5), (6, 7)}) == 0b011
